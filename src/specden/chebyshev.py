@@ -109,21 +109,6 @@ def cheb_weighted_integral(k: int, a: float, b: float) -> float:
     return float((np.sin(k * np.arccos(a)) - np.sin(k * np.arccos(b))) / k)
 
 
-def _weighted_antiderivative_table(num_coeffs: int, x) -> np.ndarray:
-    """Antiderivative values F_k(x) of T_k w for k = 0..num_coeffs-1.
-
-    Shape (num_coeffs, len(x)). Row 0 is arcsin(x); row k is -sin(k arccos x)/k.
-    """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    theta = np.arccos(np.clip(xs, -1.0, 1.0))
-    out = np.empty((num_coeffs, xs.size))
-    out[0] = np.arcsin(np.clip(xs, -1.0, 1.0))
-    if num_coeffs > 1:
-        ks = np.arange(1, num_coeffs)
-        out[1:] = -np.sin(np.outer(ks, theta)) / ks[:, None]
-    return out
-
-
 @dataclass(frozen=True)
 class ChebyshevSeries:
     """Coefficients a_0..a_N over the normalized basis Tbar_k.
@@ -150,64 +135,96 @@ class ChebyshevSeries:
         return self.coefficients.size
 
 
+def _forward_sum(weights: np.ndarray, xs: np.ndarray, second_kind: bool) -> np.ndarray:
+    """``sum_j weights[j] P_j(xs)`` accumulated along one forward recurrence.
+
+    ``P_j`` is T_j (first kind, ``P_1 = x``) or U_j (second kind, ``P_1 = 2x``);
+    both follow ``P_j = 2x P_{j-1} - P_{j-2}`` from ``P_0 = 1``.
+    """
+    acc = np.full_like(xs, weights[0])
+    if weights.size > 1:
+        two_x = 2.0 * xs
+        p_prev = np.ones_like(xs)
+        p_cur = two_x.copy() if second_kind else xs.copy()
+        acc += weights[1] * p_cur
+        for w in weights[2:]:
+            p_prev, p_cur = p_cur, two_x * p_cur - p_prev
+            acc += w * p_cur
+    return acc
+
+
+def _series_weights(series: ChebyshevSeries) -> np.ndarray:
+    """Coefficients over the raw T_k: ``a_k`` times the normalization of Tbar_k."""
+    weights = series.coefficients * NORM_K
+    weights[0] = series.coefficients[0] * NORM_0
+    return weights
+
+
 def series_eval(series: ChebyshevSeries, x):
     """Evaluate ``sum_k a_k Tbar_k(x)`` in one shared forward recurrence pass.
 
     Scalars and arrays are both supported; the per-term normalization is folded
     into the accumulation so no polynomial is evaluated twice.
     """
-    a = series.coefficients
     xv = _clamp(x)
     scalar = not isinstance(xv, np.ndarray)
     xs = np.atleast_1d(np.asarray(xv, dtype=float))
-    acc = np.full_like(xs, a[0] * NORM_0)
-    if a.size > 1:
-        t_prev = np.ones_like(xs)
-        t_cur = xs.copy()
-        acc += a[1] * NORM_K * t_cur
-        for k in range(2, a.size):
-            t_prev, t_cur = t_cur, 2.0 * xs * t_cur - t_prev
-            acc += a[k] * NORM_K * t_cur
+    acc = _forward_sum(_series_weights(series), xs, second_kind=False)
     return float(acc[0]) if scalar else acc
 
 
-def series_weighted_integral(series: ChebyshevSeries, a: float, b: float) -> float:
-    """``integral_a^b w(x) sum_k a_k Tbar_k(x) dx`` by the closed form."""
-    a = _clamp(a)
-    b = _clamp(b)
-    if a >= b:
-        raise DomainError(f"need a < b, got a={a}, b={b}")
-    table = _weighted_antiderivative_table(len(series), np.array([a, b]))
-    norms = np.full(len(series), NORM_K)
-    norms[0] = NORM_0
-    return float(np.dot(series.coefficients * norms, table[:, 1] - table[:, 0]))
+def _weighted_antiderivative(weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """``A(x) = sum_k weights[k] F_k(x)``, the antiderivative of ``w * sum_k weights[k] T_k``.
+
+    ``F_0 = arcsin x`` and ``F_k = -sin(k arccos x) / k``. Since
+    ``sin(k arccos x) = sqrt(1 - x^2) U_{k-1}(x)``, the k >= 1 part is one
+    second-kind recurrence over the points, with no table of sines.
+    """
+    acc = weights[0] * np.arcsin(xs)
+    if weights.size > 1:
+        ks = np.arange(1, weights.size)
+        acc -= np.sqrt((1.0 - xs) * (1.0 + xs)) * _forward_sum(
+            weights[1:] / ks, xs, second_kind=True)
+    return acc
+
+
+def _weighted_difference(weights: np.ndarray, a, b):
+    """``A(b) - A(a)`` for scalars or equal-shape arrays; both ends in one pass."""
+    ends = np.stack([np.asarray(_clamp(a), dtype=float), np.asarray(_clamp(b), dtype=float)])
+    if np.any(ends[0] > ends[1]):
+        raise DomainError(f"need a <= b, got a={a}, b={b}")
+    vals = _weighted_antiderivative(weights, ends)
+    diff = vals[1] - vals[0]
+    return float(diff) if diff.ndim == 0 else diff
+
+
+def series_weighted_integral(series: ChebyshevSeries, a, b):
+    """``integral_a^b w(x) sum_k a_k Tbar_k(x) dx`` by the closed form.
+
+    ``a`` and ``b`` are scalars or arrays of one shape; ``a == b`` gives 0.
+    """
+    return _weighted_difference(_series_weights(series), a, b)
 
 
 def series_weighted_cdf(series: ChebyshevSeries, x) -> np.ndarray:
     """Vectorized ``F(x) = integral_{-1}^x w * series`` at the points ``x``."""
+    weights = _series_weights(series)
     xs = np.atleast_1d(np.asarray(_clamp(x), dtype=float))
-    table = _weighted_antiderivative_table(len(series), xs)
-    base = _weighted_antiderivative_table(len(series), np.array([-1.0]))
-    norms = np.full(len(series), NORM_K)
-    norms[0] = NORM_0
-    vals = (series.coefficients * norms) @ (table - base)
-    return vals
+    return (_weighted_antiderivative(weights, xs)
+            - _weighted_antiderivative(weights, np.array([-1.0])))
 
 
-def series_weighted_first_moment(series: ChebyshevSeries, a: float, b: float) -> float:
+def series_weighted_first_moment(series: ChebyshevSeries, a, b):
     """``integral_a^b x w(x) sum_k a_k Tbar_k(x) dx`` in closed form.
 
     Uses x T_k = (T_{k+1} + T_{k-1}) / 2 for k >= 1 and x T_0 = T_1, so the
-    result reduces to weighted integrals of plain Chebyshev polynomials.
+    result is the weighted integral of a plain Chebyshev series one degree
+    higher. ``a`` and ``b`` are scalars or arrays of one shape; ``a == b``
+    gives 0.
     """
-    a = _clamp(a)
-    b = _clamp(b)
-    if a >= b:
-        raise DomainError(f"need a < b, got a={a}, b={b}")
-    coeffs = series.coefficients
-    table = _weighted_antiderivative_table(len(series) + 1, np.array([a, b]))
-    raw = table[:, 1] - table[:, 0]  # integral of T_j * w over [a, b]
-    total = coeffs[0] * NORM_0 * raw[1]
-    for k in range(1, coeffs.size):
-        total += coeffs[k] * NORM_K * 0.5 * (raw[k + 1] + raw[k - 1])
-    return float(total)
+    weights = _series_weights(series)
+    shifted = np.zeros(weights.size + 1)
+    shifted[1] = weights[0]
+    shifted[2:] += 0.5 * weights[1:]
+    shifted[:-2] += 0.5 * weights[1:]
+    return _weighted_difference(shifted, a, b)

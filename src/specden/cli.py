@@ -17,6 +17,7 @@ import logging
 import math
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from statistics import median
@@ -396,21 +397,25 @@ def _approx_run(graph, truth, degree, t, seed, disc_eps):
             oracle.calls, density, moments)
 
 
-def _tune_samples(graph, truth, degree, disc_eps, base_seed, hutch_median):
+def _tune_samples(graph, truth, degree, disc_eps, base_seed, hutch_median, spent):
     """Doubling search over the per-matvec budget, capped below nnz.
 
     Doubles t until the probe median is on par with exact-matvec Hutchinson
     (within 30%, or 2 points absolute); the cap keeps the touched-entry
-    fraction under one even when parity is out of reach.
+    fraction under one even when parity is out of reach. The probe runs'
+    oracle calls and entries touched are added to ``spent``.
     """
     target = max(1.3 * hutch_median, hutch_median + 0.02)
     chosen = None
     for frac in SEARCH_FRACTIONS:
         t = math.ceil(frac * graph.nnz)
-        probe = [
-            _approx_run(graph, truth, degree, t, (base_seed, 999_331, s), disc_eps)[0]
-            for s in range(2)
-        ]
+        probe = []
+        for s in range(2):
+            w1, entries, calls, _, _ = _approx_run(
+                graph, truth, degree, t, (base_seed, 999_331, s), disc_eps)
+            spent["calls"] += calls
+            spent["entries"] += entries
+            probe.append(w1)
         chosen = t
         if median(probe) <= target:
             break
@@ -424,8 +429,7 @@ def cmd_experiment_table1(args) -> int:
     disc_eps = args.disc_eps
     seeds = [args.seed + 1000 * s for s in range(args.seeds)]
     results = {}
-    total_calls = 0
-    total_entries = 0
+    spent = Counter()  # oracle calls and entries of every run, search probes included
 
     for label, kind, size_kwargs, degree in TABLE1_GRAPHS:
         graph, truth = generate_graph(kind, **size_kwargs)
@@ -444,7 +448,7 @@ def cmd_experiment_table1(args) -> int:
         for seed in seeds:
             oracle = exact_graph_oracle(graph)
             mom = hutchinson_moments(oracle, degree, TABLE1_ELL, seed)
-            total_calls += oracle.calls
+            spent["calls"] += oracle.calls
             density = full_kpm(mom, coeffs)
             if hutch_density is None:
                 hutch_density, hutch_moment_vec = density, mom
@@ -456,7 +460,7 @@ def cmd_experiment_table1(args) -> int:
             t_budget = args.samples_per_matvec
         else:
             t_budget = _tune_samples(graph, truth, degree, disc_eps, args.seed,
-                                     median(hutch_w1))
+                                     median(hutch_w1), spent)
         approx_w1 = []
         approx_entries = []
         approx_density = None
@@ -464,8 +468,8 @@ def cmd_experiment_table1(args) -> int:
         for seed in seeds:
             w1, entries, calls, density, mom = _approx_run(
                 graph, truth, degree, t_budget, seed, disc_eps)
-            total_calls += calls
-            total_entries += entries
+            spent["calls"] += calls
+            spent["entries"] += entries
             approx_w1.append(w1)
             approx_entries.append(entries / calls)
             if approx_density is None:
@@ -520,8 +524,8 @@ def cmd_experiment_table1(args) -> int:
         inputs={"graphs": [g[0] for g in TABLE1_GRAPHS]},
         outputs={"dir": str(out_dir)},
         timing_seconds=time.perf_counter() - t_start,
-        oracle_calls=total_calls,
-        entries_touched=total_entries,
+        oracle_calls=spent["calls"],
+        entries_touched=spent["entries"],
     )
     manifest.write(out_dir / "manifest.json")
     for label, row in results.items():

@@ -54,14 +54,15 @@ class DensityEstimate:
         """q(x) / w(x), finite everywhere on [-1, 1]."""
         return series_eval(self.series, x)
 
-    def integrate(self, a: float, b: float) -> float:
+    def integrate(self, a, b):
+        """integral of q over [a, b]; scalars or equal-shape arrays of endpoints."""
         return series_weighted_integral(self.series, a, b)
 
     def cdf(self, x):
         return series_weighted_cdf(self.series, x)
 
-    def first_moment(self, a: float, b: float) -> float:
-        """integral of x q(x) over [a, b]."""
+    def first_moment(self, a, b):
+        """integral of x q(x) over [a, b]; scalars or equal-shape arrays of endpoints."""
         return series_weighted_first_moment(self.series, a, b)
 
     def to_json(self) -> str:
@@ -104,8 +105,10 @@ def idealized_kpm(moments: MomentVector, coeffs: JacksonCoefficients) -> Density
 def full_kpm(moments: MomentVector, coeffs: JacksonCoefficients) -> DensityEstimate:
     """Shift-and-rescale construction tolerant of per-moment error up to 1/N^2.
 
-    The output is a probability density unconditionally; when the moment error
-    contract actually holds and N >= 18/eps, it is within 2*eps of the truth.
+    Only unit mass is unconditional: a_0 is pinned to 1/sqrt(pi). The output is
+    non-negative only when the moment error contract |tau~_k - tau_k| <= 1/N^2
+    holds; noisier moments can give a polynomial part that dips below zero.
+    When the contract holds and N >= 18/eps, it is within 2*eps of the truth.
     """
     series = damp_moments(moments, coeffs)
     n_deg = coeffs.degree

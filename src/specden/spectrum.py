@@ -159,14 +159,9 @@ def discretize_optimal(q, n: int, mass_tol: float = 1e-10,
                 f"steps: boundary {worst + 1} of {n - 1}, bracket "
                 f"[{lo[worst]}, {hi[worst]}], target mass {targets[worst]:.12g}")
         bounds = np.concatenate([[-1.0], np.maximum.accumulate(mid), [1.0]])
-    points = np.empty(n)
-    slab_mass = total / n
-    for j in range(n):
-        left, right = bounds[j], bounds[j + 1]
-        if right - left <= 1e-15:
-            points[j] = 0.5 * (left + right)
-        else:
-            points[j] = q.first_moment(left, right) / slab_mass
+    left, right = bounds[:-1], bounds[1:]
+    means = q.first_moment(left, right) / (total / n)
+    points = np.where(right - left <= 1e-15, 0.5 * (left + right), means)
     return DiscreteSpectrum(np.clip(points, -1.0, 1.0))
 
 
@@ -188,7 +183,7 @@ def w1_density_vs_spectrum(q, spectrum: DiscreteSpectrum, resolution: int = 10_0
     levels = np.arange(n + 1) / n  # F_spec on each panel
 
     def cdf_integral(lo, hi, f_lo, f_hi):
-        # integral of F_q over [lo, hi]
+        # integral of F_q over each panel [lo, hi]
         return hi * f_hi - lo * f_lo - q.first_moment(lo, hi)
 
     f_vals = np.asarray(q.cdf(breaks), dtype=float)
@@ -198,38 +193,30 @@ def w1_density_vs_spectrum(q, spectrum: DiscreteSpectrum, resolution: int = 10_0
     live = width > 0
     crossing = live & (h_lo < 0.0) & (h_hi > 0.0)
 
+    plain = live & ~crossing
+    lo, hi = breaks[:-1][plain], breaks[1:][plain]
+    area = (cdf_integral(lo, hi, f_vals[:-1][plain], f_vals[1:][plain])
+            - levels[plain] * (hi - lo))
+    total = np.sum(np.where(h_lo[plain] >= 0.0, area, -area))
+
     # batched bisection for the sign change inside each crossing panel
-    cuts = np.zeros(0)
-    f_cuts = np.zeros(0)
     idx = np.flatnonzero(crossing)
     if idx.size:
-        a = breaks[:-1][idx].copy()
-        b = breaks[1:][idx].copy()
+        lo, hi, level = breaks[:-1][idx], breaks[1:][idx], levels[idx]
+        a, b = lo.copy(), hi.copy()
         tol = width[idx] / resolution
         for _ in range(200):
             if np.all(b - a <= tol):
                 break
             mid = 0.5 * (a + b)
-            below = np.asarray(q.cdf(mid)) - levels[idx] < 0.0
+            below = np.asarray(q.cdf(mid)) - level < 0.0
             a = np.where(below, mid, a)
             b = np.where(below, b, mid)
         cuts = 0.5 * (a + b)
         f_cuts = np.asarray(q.cdf(cuts), dtype=float)
-
-    total = 0.0
-    cut_pos = 0
-    for i in np.flatnonzero(live):
-        lo, hi = breaks[i], breaks[i + 1]
-        level = levels[i]
-        f_lo, f_hi = f_vals[i], f_vals[i + 1]
-        if not crossing[i]:
-            area = cdf_integral(lo, hi, f_lo, f_hi) - level * (hi - lo)
-            total += area if h_lo[i] >= 0.0 else -area
-        else:
-            cut, f_cut = cuts[cut_pos], f_cuts[cut_pos]
-            cut_pos += 1
-            total += level * (cut - lo) - cdf_integral(lo, cut, f_lo, f_cut)
-            total += cdf_integral(cut, hi, f_cut, f_hi) - level * (hi - cut)
+        total += np.sum(level * (cuts - lo) - cdf_integral(lo, cuts, f_vals[:-1][idx], f_cuts)
+                        + cdf_integral(cuts, hi, f_cuts, f_vals[1:][idx])
+                        - level * (hi - cuts))
     return float(total)
 
 

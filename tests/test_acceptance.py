@@ -35,7 +35,7 @@ from specden import (
     w1_discrete,
 )
 from specden.chebyshev import NORM_K, normalized_eval
-from specden.cli import main
+from specden.cli import SEARCH_FRACTIONS, main
 from specden.moments import MomentVector, _sweep_products, rademacher
 
 from conftest import quad_weighted_integral, random_spectrum_matrix
@@ -300,6 +300,21 @@ def test_criterion_9_table1_reproduction(table1):
     masses = np.array([[float(v) for v in line.split(",")[2:]] for line in hist[1:]])
     assert np.allclose(masses.sum(axis=0), 1.0, atol=1e-9)
     _report(9, ok, "; ".join(lines) + f"; runtime {elapsed:.0f}s < 600s")
+
+
+def test_table1_manifest_counts_search_probes(table1):
+    """The manifest's oracle calls include the budget search's probe runs."""
+    results, _, out_dir = table1
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    seeds = manifest["config"]["seeds"]
+    expected = 0
+    for row in results.values():
+        per_run = row["ell"] * row["degree"]  # one oracle call per probe per degree
+        steps = 1 + next(i for i, frac in enumerate(SEARCH_FRACTIONS)
+                         if math.ceil(frac * row["nnz"]) == row["samples_per_matvec"])
+        # Hutchinson and approx runs per seed, plus two probe runs per search step
+        expected += 2 * seeds * per_run + 2 * steps * per_run
+    assert manifest["oracle_calls"] == expected
 
 
 def test_criterion_10_closed_form_integral():

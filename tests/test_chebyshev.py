@@ -201,3 +201,68 @@ class TestSeries:
             lambda th: math.cos(th) * series_eval(series, math.cos(th)),
             math.acos(b), math.acos(a), epsabs=1e-12, limit=200)
         assert series_weighted_first_moment(series, a, b) == pytest.approx(expected, abs=1e-10)
+
+EDGE = 1.0 - 1e-12
+
+
+class TestVectorizedClosedForms:
+    @pytest.fixture
+    def series(self):
+        return ChebyshevSeries(np.random.default_rng(21).standard_normal(81))
+
+    def test_array_endpoints_match_scalar_calls(self, series):
+        rng = np.random.default_rng(22)
+        a, b = np.sort(rng.uniform(-1.0, 1.0, (2, 40)), axis=0)
+        a[:3], b[:3] = [-1.0, -EDGE, 0.25], [1.0, EDGE, 0.25]
+        for fn in (series_weighted_integral, series_weighted_first_moment):
+            vec = fn(series, a, b)
+            assert vec.shape == a.shape
+            for lo, hi, v in zip(a, b, vec):
+                assert fn(series, float(lo), float(hi)) == pytest.approx(v, rel=1e-14, abs=1e-14)
+            np.testing.assert_array_equal(fn(series, a.reshape(5, 8), b.reshape(5, 8)),
+                                          vec.reshape(5, 8))
+
+    def test_empty_interval_is_zero_and_reversed_raises(self, series):
+        same = np.array([-1.0, 0.1, 1.0])
+        for fn in (series_weighted_integral, series_weighted_first_moment):
+            assert fn(series, 0.4, 0.4) == 0.0
+            np.testing.assert_array_equal(fn(series, same, same), 0.0)
+            with pytest.raises(DomainError):
+                fn(series, 0.5, 0.4)
+            with pytest.raises(DomainError):
+                fn(series, np.array([0.0, 0.5]), np.array([0.1, 0.4]))
+
+    # in the last 1e-9 before each edge 1 - x*x rounds and trips quad's
+    # roundoff detector; those pieces still agree with the closed form to 4e-12
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_degree_360_near_the_edges(self):
+        rng = np.random.default_rng(360)
+        ks = (0, 1, 180, 360)
+        sparse = np.zeros(361)
+        sparse[list(ks)] = rng.standard_normal(len(ks))
+        # the oracle's pieces cannot resolve the weight's last 1e-6 before +-1
+        # on their own, so the split is graded toward both edges; the exact
+        # integral is additive over it
+        grid = [-EDGE, -(1 - 1e-9), -(1 - 1e-6), -(1 - 1e-3), -0.2,
+                0.3, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9, EDGE]
+        pieces = np.array([
+            sum(sparse[k] * (NORM_0 if k == 0 else NORM_K) * quad_weighted_integral(k, lo, hi)
+                for k in ks)
+            for lo, hi in zip(grid[:-1], grid[1:])])
+        for first, last in ((0, 9), (5, 9), (0, 4)):
+            assert series_weighted_integral(
+                ChebyshevSeries(sparse), grid[first], grid[last]) == pytest.approx(
+                    pieces[first:last].sum(), abs=1e-10)
+
+        # every degree at once, against the single-degree closed form:
+        # x T_0 = T_1 and x T_k = (T_{k+1} + T_{k-1}) / 2
+        coeffs = rng.standard_normal(361)
+        series = ChebyshevSeries(coeffs)
+        for a, b in ((-EDGE, EDGE), (0.3, EDGE), (-EDGE, -0.2)):
+            raw = [cheb_weighted_integral(j, a, b) for j in range(362)]
+            integral = coeffs[0] * NORM_0 * raw[0] + sum(
+                coeffs[k] * NORM_K * raw[k] for k in range(1, 361))
+            moment = coeffs[0] * NORM_0 * raw[1] + sum(
+                coeffs[k] * NORM_K * 0.5 * (raw[k + 1] + raw[k - 1]) for k in range(1, 361))
+            assert series_weighted_integral(series, a, b) == pytest.approx(integral, abs=1e-12)
+            assert series_weighted_first_moment(series, a, b) == pytest.approx(moment, abs=1e-12)
