@@ -23,18 +23,28 @@ def random_spectrum_matrix(n, seed, spectrum=None):
 def quad_weighted_integral(k, a, b):
     """Adaptive-quadrature oracle for integral_a^b T_k(x)/sqrt(1-x^2) dx.
 
-    Subdivides so each piece spans only a few oscillations of T_k, then
-    integrates the raw singular integrand with scipy's adaptive rule. Stays
-    independent of the closed form it is used to check.
+    Grades the split geometrically, at 1 - 1e-3, 1 - 1e-6, ..., toward an
+    endpoint within 1e-3 of +-1, where uniform pieces cannot resolve the
+    weight's singular mass; subdivides each graded segment so every piece
+    spans only a few oscillations of T_k; then integrates the raw singular
+    integrand with scipy's adaptive rule. Stays independent of the closed form
+    it is used to check.
     """
+    breaks = [a, b]
+    for edge, sign in ((b, 1.0), (a, -1.0)):
+        if 1.0 - sign * edge < 1e-3:
+            breaks += [sign * (1.0 - g) for g in (1e-3, 1e-6, 1e-9, 1e-12)
+                       if a < sign * (1.0 - g) < b]
+    breaks.sort()
     pieces = max(4, k // 4 + 4)
-    edges = np.linspace(a, b, pieces + 1)
     total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, _ = scipy.integrate.quad(
-            lambda x: cheb_eval_first(k, x) / np.sqrt(1.0 - x * x),
-            lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
-        total += val
+    for start, stop in zip(breaks[:-1], breaks[1:]):
+        edges = np.linspace(start, stop, pieces + 1)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            val, _ = scipy.integrate.quad(
+                lambda x: cheb_eval_first(k, x) / np.sqrt(1.0 - x * x),
+                lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
+            total += val
     return total
 
 

@@ -1,4 +1,6 @@
 import math
+import statistics
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -255,6 +257,41 @@ class TestSampledMatvec:
         for seed in range(400):
             acc += sampled_matvec(g, y, t=100, seed=(1, seed)).output
         np.testing.assert_allclose(acc / 400, truth, atol=0.05)
+
+    @pytest.mark.parametrize("make", [
+        lambda: star(8),
+        lambda: generate_graph("hypercube", bits=8)[0],
+        lambda: generate_graph("hairy-clique", n=1000)[0],
+    ], ids=["star8", "hypercube8", "hairyClique1000"])
+    def test_column_probabilities_match_per_vertex_formula(self, make):
+        g = make()
+        p = np.array([
+            np.sum(1.0 / g.degrees[g.neighbors(i)]) / (g.n * g.degrees[i])
+            for i in range(g.n)])
+        np.testing.assert_allclose(g.column_probabilities, p, rtol=0, atol=1e-15)
+        assert g.column_probabilities is g.column_probabilities  # once per graph
+
+    def test_list_access_does_not_change_the_output(self):
+        for g in (star(8), generate_graph("hypercube", bits=8)[0]):
+            y = np.random.default_rng(4).standard_normal(g.n)
+            listed = sampled_matvec(g, y, t=3000, seed=12)
+            g.has_list_access = False
+            sampled = sampled_matvec(g, y, t=3000, seed=12)
+            np.testing.assert_array_equal(listed.output, sampled.output)
+            assert listed.entries_touched == sampled.entries_touched
+
+    def test_hypercube14_time_gate(self):
+        # the budget table1's search picks on this graph at seed 0
+        g, _ = generate_graph("hypercube", bits=14)
+        y = np.random.default_rng(14).standard_normal(g.n)
+        t = math.ceil(0.92 * g.nnz)
+        sampled_matvec(g, y, t, seed=0)  # first call computes the graph's p
+        times = []
+        for seed in range(20):
+            start = time.perf_counter()
+            sampled_matvec(g, y, t, seed=seed)
+            times.append(time.perf_counter() - start)
+        assert statistics.median(times) < 0.006, times
 
 
 class TestBoostedOracle:
