@@ -22,7 +22,6 @@ from .oracles import (
     MatvecOracle,
     SymmetricMatrix,
     estimate_spectral_norm,
-    exact_apply,
     exact_oracle,
     load_dense_text,
     load_matrix_market,
@@ -43,7 +42,6 @@ from .moments import (
 from .density import (
     DensityEstimate,
     check_density,
-    density_integrate,
     export_plot_data,
     full_kpm,
     idealized_kpm,

@@ -123,11 +123,6 @@ def full_kpm(moments: MomentVector, coeffs: JacksonCoefficients) -> DensityEstim
     )
 
 
-def density_integrate(q: DensityEstimate, a: float, b: float) -> float:
-    """integral_a^b q, exactly, through the closed-form antiderivatives."""
-    return q.integrate(a, b)
-
-
 def check_density(q: DensityEstimate, grid_points: int = 10_000,
                   negativity_tol: float = -1e-10, a0_tol: float = 1e-12) -> None:
     """Assert the two density invariants: a_0 = 1/sqrt(pi) and grid non-negativity.

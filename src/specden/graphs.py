@@ -8,9 +8,11 @@ by accept/reject column sampling; each loop iteration touches one matrix
 entry in expectation, which is what makes the oracle sublinear.
 
 The simulator does not run that loop one iteration at a time. It draws the
-per-column counts of all t iterations at once from their exact joint
-distribution, a multinomial over the per-iteration column probabilities
-``p``, which it computes once per graph. That one-time O(nnz) pass and the
+per-column counts of all t iterations from their exact joint distribution: the
+number of accepted iterations k from a binomial, then the k accepted columns,
+one at a time from a Walker alias table when k < n and as one multinomial
+otherwise. The per-iteration column probabilities ``p`` and the alias table
+are computed once per graph. That one-time O(nnz) work, the draw and the
 final sparse product are the simulator's own work; the reported cost
 (``entries_touched``) stays the access model's, one column read of d_i
 entries per accepted iteration.
@@ -42,18 +44,26 @@ GRAPH_KINDS = ("clique-plus-matching", "hairy-clique", "hypercube", "from-file")
 class GraphAccess:
     """Adjacency-list view of a simple undirected graph.
 
-    ``indices[indptr[i]:indptr[i+1]]`` lists the neighbors of vertex i.
-    ``has_list_access=False`` simulates the weaker access model where
-    enumeration is only available through repeated neighbor sampling; it
-    changes how ``neighbors`` enumerates, not what ``sampled_matvec`` returns.
+    ``indices[indptr[i]:indptr[i+1]]`` lists the neighbors of vertex i; both
+    arrays are the sparsity pattern of ``norm_adjacency``, the graph's one
+    stored copy. ``has_list_access=False`` simulates the weaker access model
+    where enumeration is only available through repeated neighbor sampling;
+    it changes how ``neighbors`` enumerates, not what ``sampled_matvec``
+    returns.
     """
 
     n: int
-    indptr: np.ndarray
-    indices: np.ndarray
     degrees: np.ndarray
     norm_adjacency: scipy.sparse.csr_matrix
     has_list_access: bool = True
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self.norm_adjacency.indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self.norm_adjacency.indices
 
     @property
     def nnz(self) -> int:
@@ -74,6 +84,32 @@ class GraphAccess:
         p.flags.writeable = False  # shared by every call on this graph
         return p
 
+    @cached_property
+    def column_alias_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Walker alias table ``(prob, alias)`` of the accepted column's law
+        ``p / sum(p)``: draw j uniformly from [0, n), keep j with probability
+        ``prob[j]`` and take ``alias[j]`` otherwise. Column i is drawn with
+        probability ``(prob[i] + sum_{j: alias[j] = i} (1 - prob[j])) / n``.
+        Built by Vose's O(n) pairing of under- and over-full columns."""
+        p = self.column_probabilities
+        scaled = (p * (self.n / p.sum())).tolist()
+        prob = [1.0] * self.n
+        alias = list(range(self.n))
+        small = [i for i, s in enumerate(scaled) if s < 1.0]
+        large = [i for i, s in enumerate(scaled) if s >= 1.0]
+        while small and large:
+            under, over = small.pop(), large[-1]
+            prob[under] = scaled[under]
+            alias[under] = over
+            scaled[over] = (scaled[over] + scaled[under]) - 1.0
+            if scaled[over] < 1.0:
+                small.append(large.pop())
+        # what is left in either list is full up to rounding: prob stays 1
+        table = (np.array(prob), np.array(alias, dtype=np.intp))
+        for arr in table:
+            arr.flags.writeable = False  # shared by every call on this graph
+        return table
+
     def degree(self, i: int) -> int:
         return int(self.degrees[i])
 
@@ -89,7 +125,7 @@ class GraphAccess:
         seen: set[int] = set()
         while len(seen) < d:
             seen.add(int(row[rng.integers(0, d)]))
-        return np.fromiter(sorted(seen), dtype=np.int64, count=d)
+        return np.fromiter(sorted(seen), dtype=row.dtype, count=d)
 
     def sample_vertex(self, rng: np.random.Generator) -> int:
         return int(rng.integers(0, self.n))
@@ -125,13 +161,7 @@ def _edges_to_graph(us: np.ndarray, vs: np.ndarray, n: int,
     inv_sqrt_d = 1.0 / np.sqrt(degrees.astype(float))
     norm = adj.copy()
     norm.data = inv_sqrt_d[norm.indices] * np.repeat(inv_sqrt_d, degrees)
-    return GraphAccess(
-        n=n,
-        indptr=adj.indptr.astype(np.int64),
-        indices=adj.indices.astype(np.int64),
-        degrees=degrees,
-        norm_adjacency=norm,
-    )
+    return GraphAccess(n=n, degrees=degrees, norm_adjacency=norm)
 
 
 def exact_normalized_matvec(graph: GraphAccess, y: np.ndarray) -> np.ndarray:
@@ -182,9 +212,15 @@ def sampled_matvec(graph: GraphAccess, y: np.ndarray, t: int, seed,
 
     The t iterations are independent, so their per-column counts are exactly
     ``Multinomial(t, [p_1, ..., p_n, 1 - sum p])``, the last cell being the
-    rejections; the simulator draws the counts from that distribution in one
-    call and returns ``Abar (counts * y / p) / t``. Computing ``p`` once per
-    graph (``GraphAccess.column_probabilities``) and the sparse product are
+    rejections. The simulator draws them in two steps with that joint law:
+    the number of accepted iterations ``k ~ Binomial(t, sum p)``, then the k
+    accepted columns, independently with law ``p / sum p``. When k < n it
+    draws the k columns one by one from the graph's Walker alias table, in
+    O(1) each, and tallies them; otherwise it draws
+    ``Multinomial(k, p / sum p)``, whose cost grows with n, not with k.
+    It returns ``Abar (counts * y / p) / t``. Computing ``p`` and the alias
+    table once per graph (``GraphAccess.column_probabilities`` and
+    ``GraphAccess.column_alias_table``), the draw and the sparse product are
     the simulator's own work, not the access model's.
 
     ``entries_touched = sum_i counts_i d_i`` is the access model's cost: one
@@ -200,14 +236,22 @@ def sampled_matvec(graph: GraphAccess, y: np.ndarray, t: int, seed,
     if y.shape[0] != n:
         raise ValueError(f"dimension mismatch: graph has {n} vertices")
     p = graph.column_probabilities
+    total = p.sum()
     rng = np.random.default_rng(seed)
-    counts = rng.multinomial(t, np.append(p, max(0.0, 1.0 - p.sum())))[:n]
+    accepted = int(rng.binomial(t, min(total, 1.0)))
+    if accepted < n:
+        prob, alias = graph.column_alias_table
+        cols = rng.integers(0, n, size=accepted)
+        cols = np.where(rng.random(accepted) < prob[cols], cols, alias[cols])
+        counts = np.bincount(cols, minlength=n)
+    else:
+        counts = rng.multinomial(accepted, p / total)
     output = graph.norm_adjacency @ (counts * y / p) / t
     return SampledMatvecReport(
         output=output,
         entries_touched=int(np.dot(counts, graph.degrees)),
         samples=t,
-        accepted=int(counts.sum()),
+        accepted=accepted,
         accepted_counts=counts if track_counts else None,
     )
 

@@ -126,11 +126,6 @@ class MatvecOracle:
             self.calls = 0
 
 
-def exact_apply(matrix: SymmetricMatrix, y: np.ndarray) -> np.ndarray:
-    """z = A y up to floating-point rounding."""
-    return matrix.matvec(y)
-
-
 def exact_oracle(matrix: SymmetricMatrix) -> MatvecOracle:
     return MatvecOracle(
         dimension=matrix.dimension,

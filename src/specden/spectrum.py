@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -92,36 +92,30 @@ def _cell_grid(eps: float) -> np.ndarray:
 def discretize_greedy(q, n: int, eps: float) -> DiscreteSpectrum:
     """Snap the density's mass onto an eps-grid, then emit multiples of 1/n.
 
-    Cell masses come from the closed-form antiderivative, so they telescope
-    exactly; the floor-and-carry chain runs in rational arithmetic on masses
-    scaled by n, which keeps the carried remainder exact across all 2/eps
-    cells. Masses are normalized to total exactly one first, so the chain
-    always emits exactly n values; the defensive final-cell absorption only
-    fires if that accounting is somehow broken.
+    Cell j's right edge is emitted ``floor(n S_j / S) - floor(n S_{j-1} / S)``
+    times, where ``S_j`` is the cumulative mass of cells 1..j and ``S`` the
+    total: the floor-and-carry chain over the normalized masses, whose carried
+    remainder ``S_j/S - floor(n S_j / S)/n`` always lies in [0, 1/n). Cell
+    masses come from the closed-form antiderivative and are clipped at zero;
+    each is a dyadic rational, so scaled to their common power-of-two
+    denominator they are integers and the cumulative floors are exact. The
+    last floor is ``floor(n S / S) = n``, so exactly n values are emitted.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     edges = _cell_grid(eps)
     cdf = np.asarray(q.cdf(edges), dtype=float)
-    masses = np.maximum(np.diff(cdf), 0.0)
-    total = sum(Fraction(float(m)) for m in masses)
+    ratios = [m.as_integer_ratio() for m in np.maximum(np.diff(cdf), 0.0).tolist()]
+    denominator = max(d for _, d in ratios)  # powers of two: each d divides it
+    cumulative = list(accumulate(num * (denominator // d) for num, d in ratios))
+    total = cumulative[-1]
     if total <= 0:
         raise ValueError("density has no positive mass on [-1, 1]")
-    if abs(float(total) - 1.0) > 1e-6:
-        logger.warning("density mass %.6g differs from 1; normalizing", float(total))
-    out: list[float] = []
-    remainder = Fraction(0)
-    for t, m in zip(edges[1:], masses):
-        v = remainder + Fraction(float(m)) / total
-        whole = int(v * n)  # floor of n*v; v >= 0
-        remainder = v - Fraction(whole, n)
-        out.extend([float(t)] * whole)
-    if len(out) != n:  # pragma: no cover - unreachable with normalized masses
-        missing = n - len(out)
-        logger.warning("carry chain emitted %d of %d values; final cell absorbs %d",
-                       len(out), n, missing)
-        out.extend([float(edges[-1])] * missing)
-    return DiscreteSpectrum(np.asarray(out))
+    if abs(total / denominator - 1.0) > 1e-6:
+        logger.warning("density mass %.6g differs from 1; normalizing",
+                       total / denominator)
+    floors = [n * s // total for s in cumulative]
+    return DiscreteSpectrum(np.repeat(edges[1:], np.diff(floors, prepend=0)))
 
 
 def discretize_optimal(q, n: int, mass_tol: float = 1e-10,

@@ -5,7 +5,6 @@ import pytest
 from specden import (
     DensityEstimate,
     check_density,
-    density_integrate,
     export_plot_data,
     full_kpm,
     idealized_kpm,
@@ -102,17 +101,17 @@ class TestFullKpm:
 class TestIntegration:
     def test_unit_total_mass(self):
         q = _delta_density(0.3, 24)
-        assert density_integrate(q, -1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert q.integrate(-1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_additive_split(self):
         q = _delta_density(-0.2, 24)
-        left = density_integrate(q, -1.0, 0.0)
-        right = density_integrate(q, 0.0, 1.0)
+        left = q.integrate(-1.0, 0.0)
+        right = q.integrate(0.0, 1.0)
         assert left + right == pytest.approx(1.0, abs=1e-12)
 
     def test_origin_spike_central_mass(self):
         q = _delta_density(0.0, 64)
-        assert density_integrate(q, -0.3, 0.3) >= 0.8
+        assert q.integrate(-0.3, 0.3) >= 0.8
 
     def test_cdf_is_monotone(self):
         q = _delta_density(0.5, 32)

@@ -248,6 +248,24 @@ class TestSampledMatvec:
         result = scipy.stats.chisquare(observed, expected)
         assert result.pvalue >= 0.001
 
+    def test_acceptance_chi_square_alias_hairy_clique(self):
+        # sum p ~ 0.003 here, so every call accepts fewer than n columns and
+        # draws them from the alias table; star8 above covers the multinomial
+        g, _ = generate_graph("hairy-clique", n=1000)
+        t = math.ceil(0.92 * g.nnz)
+        observed = np.zeros(g.n, dtype=np.int64)
+        for seed in range(200):
+            rep = sampled_matvec(g, np.ones(g.n), t=t, seed=(31, seed), track_counts=True)
+            assert rep.accepted < g.n
+            observed += rep.accepted_counts
+        p = g.column_probabilities
+        expected = observed.sum() * p / p.sum()
+        assert scipy.stats.chisquare(observed, expected).pvalue >= 0.001
+        # pooled by degree (hairs vs clique), a shift of a few percent shows
+        _, group = np.unique(g.degrees, return_inverse=True)
+        assert scipy.stats.chisquare(np.bincount(group, weights=observed),
+                                     np.bincount(group, weights=expected)).pvalue >= 0.001
+
     def test_without_list_access_still_unbiased(self):
         g = star(5)
         g.has_list_access = False
@@ -270,6 +288,10 @@ class TestSampledMatvec:
             for i in range(g.n)])
         np.testing.assert_allclose(g.column_probabilities, p, rtol=0, atol=1e-15)
         assert g.column_probabilities is g.column_probabilities  # once per graph
+        prob, alias = g.column_alias_table
+        drawn = (prob + np.bincount(alias, weights=1.0 - prob, minlength=g.n)) / g.n
+        np.testing.assert_allclose(drawn, p / p.sum(), rtol=0, atol=1e-15)
+        assert g.column_alias_table is g.column_alias_table
 
     def test_list_access_does_not_change_the_output(self):
         for g in (star(8), generate_graph("hypercube", bits=8)[0]):
@@ -285,13 +307,13 @@ class TestSampledMatvec:
         g, _ = generate_graph("hypercube", bits=14)
         y = np.random.default_rng(14).standard_normal(g.n)
         t = math.ceil(0.92 * g.nnz)
-        sampled_matvec(g, y, t, seed=0)  # first call computes the graph's p
+        sampled_matvec(g, y, t, seed=0)  # first call builds the graph's p and alias table
         times = []
         for seed in range(20):
             start = time.perf_counter()
             sampled_matvec(g, y, t, seed=seed)
             times.append(time.perf_counter() - start)
-        assert statistics.median(times) < 0.006, times
+        assert statistics.median(times) < 0.0007, times
 
 
 class TestBoostedOracle:

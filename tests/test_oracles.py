@@ -4,7 +4,6 @@ import pytest
 from specden import (
     SymmetricMatrix,
     estimate_spectral_norm,
-    exact_apply,
     exact_oracle,
     load_dense_text,
     load_matrix_market,
@@ -20,11 +19,11 @@ class TestExactApply:
     def test_identity(self):
         m = SymmetricMatrix.from_dense(np.eye(4))
         y = np.array([1.0, -2.0, 0.5, 3.0])
-        np.testing.assert_array_equal(exact_apply(m, y), y)
+        np.testing.assert_array_equal(m.matvec(y), y)
 
     def test_swap(self):
         m = SymmetricMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_array_equal(exact_apply(m, np.array([1.0, 0.0])), [0.0, 1.0])
+        np.testing.assert_array_equal(m.matvec(np.array([1.0, 0.0])), [0.0, 1.0])
 
     def test_sparse_matches_dense(self):
         rng = np.random.default_rng(0)
@@ -35,13 +34,13 @@ class TestExactApply:
         sparse = SymmetricMatrix.from_coo(rows, cols, dense[rows, cols], 50)
         dense_m = SymmetricMatrix.from_dense(dense)
         y = rng.standard_normal(50)
-        a, b = exact_apply(sparse, y), exact_apply(dense_m, y)
+        a, b = sparse.matvec(y), dense_m.matvec(y)
         assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
 
     def test_dimension_mismatch(self):
         m = SymmetricMatrix.from_dense(np.eye(3))
         with pytest.raises(ValueError):
-            exact_apply(m, np.ones(4))
+            m.matvec(np.ones(4))
 
     def test_symmetrized_from_one_triangle(self):
         arr = np.array([[1.0, 99.0], [2.0, 3.0]])  # upper triangle ignored
@@ -57,13 +56,13 @@ class TestNoisyApply:
     def test_zero_noise_is_exact(self):
         np.testing.assert_array_equal(
             noisy_apply(self.matrix, self.y, 0.0, "random-direction", seed=0),
-            exact_apply(self.matrix, self.y))
+            self.matrix.matvec(self.y))
 
     @pytest.mark.parametrize("mode", ["random-direction", "adversarial-sign"])
     def test_error_radius_is_exact(self, mode):
         for eps in (1e-3, 0.1, 0.7):
             z = noisy_apply(self.matrix, self.y, eps, mode, seed=2)
-            err = np.linalg.norm(z - exact_apply(self.matrix, self.y))
+            err = np.linalg.norm(z - self.matrix.matvec(self.y))
             assert err / np.linalg.norm(self.y) == pytest.approx(eps, abs=1e-12)
 
     def test_deterministic_in_seed(self):

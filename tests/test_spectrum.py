@@ -1,5 +1,7 @@
 
+import statistics
 import time
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -19,6 +21,8 @@ from specden import (
     w1_density_vs_spectrum,
     w1_discrete,
 )
+from specden.chebyshev import ChebyshevSeries
+from specden.density import DensityEstimate
 from specden.spectrum import _cell_grid
 
 from conftest import UniformDensity, random_spectrum_matrix
@@ -35,6 +39,71 @@ def _origin_spike(degree):
 
 def _kpm_density(values, degree):
     return idealized_kpm(moments_from_spectrum(values, degree), jackson_coefficients(degree))
+
+
+def _hypercube14_spectrum():
+    bits = 14
+    return np.repeat(1.0 - 2.0 * np.arange(bits + 1) / bits,
+                     [comb(bits, j) for j in range(bits + 1)])
+
+
+def _discretize_greedy_fraction_chain(q, n, eps):
+    """Reference: the floor-and-carry chain over cells in rational arithmetic."""
+    edges = _cell_grid(eps)
+    masses = np.maximum(np.diff(np.asarray(q.cdf(edges), dtype=float)), 0.0)
+    total = sum(Fraction(float(m)) for m in masses)
+    if total <= 0:
+        raise ValueError("density has no positive mass on [-1, 1]")
+    out = []
+    remainder = Fraction(0)
+    for t, m in zip(edges[1:], masses):
+        v = remainder + Fraction(float(m)) / total
+        whole = int(v * n)
+        remainder = v - Fraction(whole, n)
+        out.extend([float(t)] * whole)
+    return np.asarray(out)
+
+
+class _CellMasses:
+    """A 'density' whose cells on the eps-grid hold prescribed masses.
+
+    Its CDF alternates between 0 and the masses, so the discretizers' clipped
+    differences recover every other mass exactly and zero in between.
+    """
+
+    def __init__(self, masses):
+        self.cdf_values = np.zeros(2 * len(masses) + 1)
+        self.cdf_values[1::2] = masses
+
+    def cdf(self, x):
+        assert np.size(x) == self.cdf_values.size
+        return self.cdf_values
+
+
+def _greedy_inputs(eps):
+    """KPM densities plus pathological masses, each defined on eps's grid."""
+    cells = _cell_grid(eps).size - 1
+    rng = np.random.default_rng(cells)
+    inputs = {
+        "hypercube14-kpm80": _kpm_density(_hypercube14_spectrum(), 80),
+        "uniform-kpm360": _kpm_density(rng.uniform(-1.0, 1.0, 500), 360),
+        "origin-spike-kpm40": _origin_spike(40),
+        "uniform": UniformDensity(),
+    }
+    for scale in (1.0, 1e8, 1e20):
+        # divergent-probe-like series: negative lobes, mass far from 1
+        coeffs = scale * rng.standard_normal(81)
+        coeffs[0] = 1.0 / np.sqrt(np.pi)
+        inputs[f"raw-series-{scale:g}"] = DensityEstimate(
+            series=ChebyshevSeries(coeffs), metadata={})
+    half = cells // 2
+    inputs["masses-1e-300-to-1e300"] = _CellMasses(10.0 ** rng.uniform(-300, 300, half))
+    subnormal = np.where(rng.random(half) < 0.5, 0.0, 5e-324 * rng.integers(1, 1000, half))
+    subnormal[-1] = 5e-324  # the smallest positive double
+    inputs["subnormal-and-zero-masses"] = _CellMasses(subnormal)
+    inputs["one-cell-holds-the-mass"] = _CellMasses(np.eye(half)[half // 2])
+    inputs["non-monotone-cdf"] = _CellMasses(rng.standard_normal(half))
+    return inputs
 
 
 def _discretize_optimal_per_slab(q, n):
@@ -259,12 +328,36 @@ class TestAgainstPerSlabReferences:
         assert w1_density_vs_spectrum(q, truth) == pytest.approx(
             _w1_density_vs_spectrum_per_panel(q, truth), abs=1e-12)
 
+    @pytest.mark.parametrize("n, eps", [(16384, 0.005), (1000, 0.005), (7, 0.1), (1, 0.5)])
+    def test_greedy_matches_fraction_chain(self, n, eps):
+        for name, q in _greedy_inputs(eps).items():
+            np.testing.assert_array_equal(discretize_greedy(q, n, eps).values,
+                                          _discretize_greedy_fraction_chain(q, n, eps),
+                                          err_msg=name)
+
+    def test_greedy_rejects_no_positive_mass_like_the_chain(self):
+        q = _CellMasses(np.zeros(_cell_grid(0.1).size // 2))
+        for discretize in (discretize_greedy, _discretize_greedy_fraction_chain):
+            with pytest.raises(ValueError):
+                discretize(q, 10, 0.1)
+
+    def test_greedy_discretization_time_gate(self):
+        # table1's hypercube-14 call: 16384 values on the 0.005 grid; the
+        # rational floor-and-carry chain took ~6 ms a call on a 2-vCPU VM,
+        # the integer cumulative floor ~0.8 ms
+        values = _hypercube14_spectrum()
+        q = _kpm_density(values, 80)
+        times = []
+        for _ in range(20):
+            start = time.perf_counter()
+            discretize_greedy(q, values.size, 0.005)
+            times.append(time.perf_counter() - start)
+        assert statistics.median(times) < 0.0025, times
+
     def test_optimal_discretization_time_gate(self):
         # the 14-bit hypercube's spectrum, 16384 slabs at degree 80: one
         # closed-form call per slab took 2.5-4 s on a 2-vCPU VM, one array call 0.2 s
-        bits = 14
-        values = np.repeat(1.0 - 2.0 * np.arange(bits + 1) / bits,
-                           [comb(bits, j) for j in range(bits + 1)])
+        values = _hypercube14_spectrum()
         q = _kpm_density(values, 80)
         start = time.perf_counter()
         out = discretize_optimal(q, values.size)
