@@ -37,7 +37,6 @@ from .moments import (
     hutchinson_moments,
     moments_from_spectrum,
     recurrence_error_decomposition,
-    run_traced_recurrence,
 )
 from .density import (
     DensityEstimate,

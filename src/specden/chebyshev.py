@@ -5,14 +5,17 @@ Everything here works on the reference interval [-1, 1]. The weight is
 orthogonal with ``<T_0, w T_0> = pi`` and ``<T_k, w T_k> = pi/2`` for k > 0.
 The normalized basis used throughout the package is ``Tbar_k = T_k / sqrt(<T_k, w T_k>)``.
 
-All evaluation routines use the three-term forward recurrence, never Clenshaw's
-backward form, so their floating-point behaviour matches the matrix recurrence
-used for moment estimation.
+Every Chebyshev sweep in the package, scalar, pointwise or through a matrix,
+runs the one three-term forward recurrence in :func:`_three_term`, never
+Clenshaw's backward form, so polynomial evaluation and moment estimation share
+their floating-point behaviour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -44,6 +47,28 @@ def _clamp(x, tol: float = DOMAIN_TOL):
     return clipped
 
 
+def _three_term(step, prev, cur):
+    """Yield ``prev, cur`` and then ``step(cur) - prev`` without end.
+
+    The forward recurrence ``P_k = 2x P_{k-1} - P_{k-2}`` behind every sweep:
+    ``step`` multiplies by 2x (a scalar, pointwise on an array, a matvec or a
+    block product), and ``prev, cur`` are the sweep's first two terms, such as
+    ``(v, x v)`` for T_k(x) v or ``(0, v)`` for U_{k-1}(x) v. Each value pulled
+    past the first two costs one ``step``. The generator holds the only
+    references it needs, so callers that keep no other name for ``prev`` let
+    it be freed after two steps.
+    """
+    yield prev
+    yield cur
+    while True:
+        prev, cur = cur, step(cur) - prev
+        yield cur
+
+
+def _one(x):
+    return np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
+
+
 def cheb_eval_first(k: int, x):
     """Evaluate the first-kind Chebyshev polynomial T_k(x) on [-1, 1].
 
@@ -53,14 +78,7 @@ def cheb_eval_first(k: int, x):
     if k < 0:
         raise ValueError("k must be >= 0 for first-kind polynomials")
     x = _clamp(x)
-    if k == 0:
-        return np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
-    if k == 1:
-        return x
-    t_prev, t_cur = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0, x
-    for _ in range(2, k + 1):
-        t_prev, t_cur = t_cur, 2.0 * x * t_cur - t_prev
-    return t_cur
+    return next(islice(_three_term(lambda t: 2.0 * x * t, _one(x), x), k, None))
 
 
 def cheb_eval_second(k: int, x):
@@ -72,15 +90,8 @@ def cheb_eval_second(k: int, x):
     if k < -1:
         raise ValueError("k must be >= -1 for second-kind polynomials")
     x = _clamp(x)
-    if k == -1:
-        return np.zeros_like(x) if isinstance(x, np.ndarray) else 0.0
-    if k == 0:
-        return np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
-    u_prev = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
-    u_cur = 2.0 * x
-    for _ in range(2, k + 1):
-        u_prev, u_cur = u_cur, 2.0 * x * u_cur - u_prev
-    return u_cur
+    one = _one(x)
+    return next(islice(_three_term(lambda u: 2.0 * x * u, 0.0 * one, one), k + 1, None))
 
 
 def normalized_eval(k: int, x):
@@ -141,15 +152,12 @@ def _forward_sum(weights: np.ndarray, xs: np.ndarray, second_kind: bool) -> np.n
     ``P_j`` is T_j (first kind, ``P_1 = x``) or U_j (second kind, ``P_1 = 2x``);
     both follow ``P_j = 2x P_{j-1} - P_{j-2}`` from ``P_0 = 1``.
     """
+    two_x = 2.0 * xs
+    polys = _three_term(partial(np.multiply, two_x), np.ones_like(xs),
+                        two_x if second_kind else xs)
     acc = np.full_like(xs, weights[0])
-    if weights.size > 1:
-        two_x = 2.0 * xs
-        p_prev = np.ones_like(xs)
-        p_cur = two_x.copy() if second_kind else xs.copy()
-        acc += weights[1] * p_cur
-        for w in weights[2:]:
-            p_prev, p_cur = p_cur, two_x * p_cur - p_prev
-            acc += w * p_cur
+    for w, p in zip(weights[1:], islice(polys, 1, None)):
+        acc += w * p
     return acc
 
 

@@ -36,7 +36,7 @@ from .graphs import (
     load_graph,
     save_graph,
 )
-from .jackson import degree_for_accuracy, jackson_coefficients
+from .jackson import _check_degree, degree_for_accuracy, jackson_coefficients
 from .moments import (
     MomentVector,
     approx_hutchinson_moments,
@@ -148,8 +148,10 @@ def _load_truth_spectrum(path_str: str) -> DiscreteSpectrum:
 
 def _resolve_degree(args) -> int:
     if args.degree is not None:
-        if args.degree < 4 or args.degree % 4 != 0:
-            raise ConfigError(f"--degree must be a positive multiple of 4, got {args.degree}")
+        try:
+            _check_degree(args.degree)
+        except ValueError as exc:
+            raise ConfigError(f"--degree: {exc}") from exc
         return args.degree
     if args.eps is not None:
         return degree_for_accuracy(args.eps)
@@ -238,6 +240,26 @@ def _compute_moments(args, kind: str, loaded) -> tuple[MomentVector, dict]:
     return moments, info
 
 
+def _write_estimation_manifest(args, kind: str, info: dict, product: str,
+                               t_start: float) -> None:
+    """The manifest of an ``estimate`` or ``moments`` run, beside its output."""
+    out = str(Path(args.output))
+    RunManifest(
+        command=args.command,
+        config={"method": args.method, "degree": info["degree"], "eps": args.eps,
+                "ell": info["ell"], "eps_mv": info.get("eps_mv"), "delta": args.delta,
+                "samples_per_matvec": args.samples_per_matvec,
+                "auto_scale": args.auto_scale, "scale_factor": info["scale_factor"]},
+        seeds={"seed": args.seed},
+        inputs={"path": args.input, "kind": kind},
+        outputs={product: out},
+        timing_seconds=time.perf_counter() - t_start,
+        oracle_calls=info["oracle_calls"],
+        entries_touched=info["entries_touched"],
+    ).write(out + ".manifest.json")
+    print(f"wrote {out} ({info['oracle_calls']} oracle calls)")
+
+
 def cmd_estimate(args) -> int:
     t_start = time.perf_counter()
     kind, loaded = _load_input(args.input, args.format)
@@ -247,23 +269,8 @@ def cmd_estimate(args) -> int:
         density = idealized_kpm(moments, coeffs)
     else:
         density = full_kpm(moments, coeffs)
-    out = Path(args.output)
-    out.write_text(density.to_json() + "\n")
-    manifest = RunManifest(
-        command="estimate",
-        config={"method": args.method, "degree": info["degree"], "eps": args.eps,
-                "ell": info["ell"], "eps_mv": info.get("eps_mv"), "delta": args.delta,
-                "samples_per_matvec": args.samples_per_matvec,
-                "auto_scale": args.auto_scale, "scale_factor": info["scale_factor"]},
-        seeds={"seed": args.seed},
-        inputs={"path": args.input, "kind": kind},
-        outputs={"density": str(out)},
-        timing_seconds=time.perf_counter() - t_start,
-        oracle_calls=info["oracle_calls"],
-        entries_touched=info["entries_touched"],
-    )
-    manifest.write(str(out) + ".manifest.json")
-    print(f"wrote {out} ({info['oracle_calls']} oracle calls)")
+    Path(args.output).write_text(density.to_json() + "\n")
+    _write_estimation_manifest(args, kind, info, "density", t_start)
     return 0
 
 
@@ -271,23 +278,8 @@ def cmd_moments(args) -> int:
     t_start = time.perf_counter()
     kind, loaded = _load_input(args.input, args.format)
     moments, info = _compute_moments(args, kind, loaded)
-    out = Path(args.output)
-    out.write_text(moments.to_json() + "\n")
-    manifest = RunManifest(
-        command="moments",
-        config={"method": args.method, "degree": info["degree"], "eps": args.eps,
-                "ell": info["ell"], "eps_mv": info.get("eps_mv"), "delta": args.delta,
-                "samples_per_matvec": args.samples_per_matvec,
-                "auto_scale": args.auto_scale, "scale_factor": info["scale_factor"]},
-        seeds={"seed": args.seed},
-        inputs={"path": args.input, "kind": kind},
-        outputs={"moments": str(out)},
-        timing_seconds=time.perf_counter() - t_start,
-        oracle_calls=info["oracle_calls"],
-        entries_touched=info["entries_touched"],
-    )
-    manifest.write(str(out) + ".manifest.json")
-    print(f"wrote {out} ({info['oracle_calls']} oracle calls)")
+    Path(args.output).write_text(moments.to_json() + "\n")
+    _write_estimation_manifest(args, kind, info, "moments", t_start)
     return 0
 
 

@@ -180,7 +180,7 @@ def exact_graph_oracle(graph: GraphAccess) -> MatvecOracle:
         apply_fn=lambda y: exact_normalized_matvec(graph, y),
         error_bound=0.0,
         cost_model="sparse O(nnz) per call",
-        matrix=SymmetricMatrix(sparse=graph.norm_adjacency, norm_bound=1.0),
+        matrix=SymmetricMatrix(graph.norm_adjacency, norm_bound=1.0),
     )
 
 

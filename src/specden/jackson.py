@@ -34,10 +34,19 @@ class JacksonCoefficients:
         return self.values.astype(float) / float(self.values[0])
 
 
-def full_convolution(degree: int) -> np.ndarray:
-    """The full symmetric convolution (g*g)*(g*g) on indices -N..N."""
+def _check_degree(degree) -> None:
+    """Raise ValueError unless ``degree`` is a positive multiple of 4.
+
+    The one degree check of the package: the kernel's width z = N/4 needs it,
+    and every moment estimator runs it before any other work or warning.
+    """
     if degree < 4 or degree % 4 != 0:
         raise ValueError(f"degree N must be a positive multiple of 4, got {degree}")
+
+
+def full_convolution(degree: int) -> np.ndarray:
+    """The full symmetric convolution (g*g)*(g*g) on indices -N..N."""
+    _check_degree(degree)
     z = degree // 4
     g = np.ones(2 * z + 1, dtype=np.int64)
     return np.convolve(np.convolve(g, g), np.convolve(g, g))

@@ -4,8 +4,9 @@ The k-th normalized moment of a matrix A with eigenvalues in [-1, 1] is
 ``tau_k = (1/n) tr(Tbar_k(A))``. This module computes them three ways:
 exactly (a full basis sweep through the matrix recurrence), stochastically
 with Hutchinson's estimator, and stochastically through an approximate
-matrix-vector oracle. All paths run the same forward recurrence
-``T_k(A) g = 2 A T_{k-1}(A) g - T_{k-2}(A) g`` and harvest every moment from a
+matrix-vector oracle. All paths, and the recurrence error decomposition, run
+the one forward recurrence of :func:`specden.chebyshev._three_term`,
+``T_k(A) g = 2 A T_{k-1}(A) g - T_{k-2}(A) g``, and harvest every moment from a
 single sweep per probe vector, so the oracle budget is exactly N calls per
 probe.
 """
@@ -15,12 +16,14 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
-from .chebyshev import NORM_0, NORM_K
+from .chebyshev import NORM_0, NORM_K, _three_term
+from .jackson import _check_degree
 from .oracles import MatvecOracle
 
 logger = logging.getLogger(__name__)
@@ -100,8 +103,8 @@ class EstimationConfig:
     constant_c: float = 16.0
 
     def __post_init__(self):
-        if self.degree and self.degree % 4 != 0:
-            raise ValueError("degree must be a multiple of 4")
+        if self.degree:
+            _check_degree(self.degree)
         if not self.per_moment_tol and self.degree:
             self.per_moment_tol = 1.0 / self.degree**2
 
@@ -123,20 +126,13 @@ def rademacher(n: int, seed) -> np.ndarray:
 
 def _sweep_products(oracle: MatvecOracle, g: np.ndarray, degree: int) -> np.ndarray:
     """g^T v_k for k = 1..N from one recurrence sweep (exactly N oracle calls)."""
-    products = np.empty(degree)
-    v_prev = g
-    v_cur = oracle.apply(g)
-    products[0] = g @ v_cur
-    for k in range(2, degree + 1):
-        v_prev, v_cur = v_cur, 2.0 * oracle.apply(v_cur) - v_prev
-        products[k - 1] = g @ v_cur
-    return products
+    sweep = _three_term(lambda v: 2.0 * oracle.apply(v), g, oracle.apply(g))
+    return np.array([g @ v for v in islice(sweep, 1, degree + 1)])
 
 
 def _gather_moments(oracle: MatvecOracle, degree: int, ell: int, seed,
                     provenance: str) -> MomentVector:
-    if degree < 4 or degree % 4 != 0:
-        raise ValueError(f"degree N must be a positive multiple of 4, got {degree}")
+    _check_degree(degree)
     if ell < 1:
         raise ValueError("ell must be >= 1")
     n = oracle.dimension
@@ -166,6 +162,7 @@ def approx_hutchinson_moments(oracle: MatvecOracle, degree: int, ell: int, seed)
     ``2 eps_mv (k+1)^2 ||g||^2`` through the recurrence. Oracle error above
     1/(2 N^2) is allowed but forfeits that bound, hence the warning.
     """
+    _check_degree(degree)
     if oracle.error_bound > 0.5 / degree**2:
         logger.warning(
             "oracle error %.3g exceeds the recommended 1/(2N^2) = %.3g for N=%d; "
@@ -187,20 +184,19 @@ def exact_moments(oracle: MatvecOracle, degree: int,
     """
     if oracle.error_bound != 0.0:
         raise ValueError("exact_moments needs an exact oracle")
-    if degree < 4 or degree % 4 != 0:
-        raise ValueError(f"degree N must be a positive multiple of 4, got {degree}")
+    _check_degree(degree)
     n = oracle.dimension
     block = max(1, min(n, max_block_elements // n))
     values = np.zeros(degree)
     for start in range(0, n, block):
         cols = np.arange(start, min(start + block, n))
-        v_prev = np.zeros((n, cols.size))
-        v_prev[cols, np.arange(cols.size)] = 1.0
-        v_cur = oracle.apply_block(v_prev)
-        values[0] += v_cur[cols, np.arange(cols.size)].sum()
-        for k in range(2, degree + 1):
-            v_prev, v_cur = v_cur, 2.0 * oracle.apply_block(v_cur) - v_prev
-            values[k - 1] += v_cur[cols, np.arange(cols.size)].sum()
+        diagonal = (cols, np.arange(cols.size))
+        basis = np.eye(n, cols.size, -start)
+        sweep = _three_term(lambda v: 2.0 * oracle.apply_block(v), basis,
+                            oracle.apply_block(basis))
+        del basis  # only the sweep holds the block now, so it is freed after two steps
+        for k, v in enumerate(islice(sweep, 1, degree + 1)):
+            values[k] += v[diagonal].sum()
     values *= NORM_K / n
     return MomentVector(degree=degree, values=values, provenance="exact", ell=0)
 
@@ -212,82 +208,48 @@ def moments_from_spectrum(eigenvalues, degree: int) -> MomentVector:
     available in closed form or was computed densely.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    if degree < 4 or degree % 4 != 0:
-        raise ValueError(f"degree N must be a positive multiple of 4, got {degree}")
-    values = np.empty(degree)
-    t_prev = np.ones_like(lam)
-    t_cur = lam.copy()
-    values[0] = t_cur.mean()
-    for k in range(2, degree + 1):
-        t_prev, t_cur = t_cur, 2.0 * lam * t_cur - t_prev
-        values[k - 1] = t_cur.mean()
-    values *= NORM_K
+    _check_degree(degree)
+    sweep = _three_term(lambda t: 2.0 * lam * t, np.ones_like(lam), lam)
+    values = NORM_K * np.array([t.mean() for t in islice(sweep, 1, degree + 1)])
     return MomentVector(degree=degree, values=values, provenance="exact", ell=0)
 
 
-@dataclass
-class RecurrenceTrace:
-    """Per-step record of one approximate recurrence sweep (test instrumentation).
+def recurrence_error_decomposition(oracle: MatvecOracle, g: np.ndarray, degree: int,
+                                   exact_apply):
+    """Measured accumulated errors of one sweep and their second-kind reconstruction.
 
-    ``approx_iterates[k]`` is the computed stand-in for T_k(A) g and
-    ``oracle_outputs[k]`` the raw oracle response used to build iterate k+1.
+    Runs the (possibly approximate) recurrence through ``oracle``, recording
+    every oracle response w_0..w_{N-1}, and again through ``exact_apply``
+    (the exact ``y -> A y``). Returns (measured, reconstructed):
+    ``measured[k] = v_k - v~_k`` and ``reconstructed[k]`` assembled from the
+    per-step oracle errors ``xi_k = A v~_{k-1} - w_{k-1}`` as
+    ``U_{k-1}(A) xi_1 + 2 sum_{i>=2} U_{k-i}(A) xi_i``. The two must agree to
+    rounding; disagreement means the sweep and the error recurrence have
+    diverged.
     """
+    g = np.asarray(g, dtype=float)
+    responses = [oracle.apply(g)]
 
-    probe: np.ndarray
-    approx_iterates: list = field(default_factory=list)  # v~_0 .. v~_N
-    oracle_outputs: list = field(default_factory=list)  # w_0 .. w_{N-1}
+    def recording_step(v):
+        responses.append(oracle.apply(v))
+        return 2.0 * responses[-1]
 
+    def exact_step(v):
+        return 2.0 * exact_apply(v)
 
-def run_traced_recurrence(oracle: MatvecOracle, g: np.ndarray, degree: int) -> RecurrenceTrace:
-    """Run the (possibly approximate) recurrence, recording every iterate."""
-    trace = RecurrenceTrace(probe=np.asarray(g, dtype=float))
-    v_prev = trace.probe
-    trace.approx_iterates.append(v_prev)
-    w = oracle.apply(v_prev)
-    trace.oracle_outputs.append(w)
-    v_cur = w
-    trace.approx_iterates.append(v_cur)
-    for _ in range(2, degree + 1):
-        w = oracle.apply(v_cur)
-        trace.oracle_outputs.append(w)
-        v_prev, v_cur = v_cur, 2.0 * w - v_prev
-        trace.approx_iterates.append(v_cur)
-    return trace
+    approx = list(islice(_three_term(recording_step, g, responses[0]), degree + 1))
+    exact = islice(_three_term(exact_step, g, exact_apply(g)), degree + 1)
+    measured = [v - v_approx for v, v_approx in zip(exact, approx)]
 
-
-def recurrence_error_decomposition(trace: RecurrenceTrace, exact_oracle: MatvecOracle):
-    """Measured accumulated errors and their second-kind-polynomial reconstruction.
-
-    Returns (measured, reconstructed): ``measured[k] = v_k - v~_k`` from an
-    exact re-run of the recurrence, and ``reconstructed[k]`` assembled from the
-    per-step oracle errors as ``U_{k-1}(A) xi_1 + 2 sum_{i>=2} U_{k-i}(A) xi_i``.
-    The two must agree to rounding; disagreement means the sweep and the error
-    recurrence have diverged.
-    """
-    g = trace.probe
-    degree = len(trace.approx_iterates) - 1
-    exact = [g, exact_oracle.apply(g)]
-    for _ in range(2, degree + 1):
-        exact.append(2.0 * exact_oracle.apply(exact[-1]) - exact[-2])
-    measured = [exact[k] - trace.approx_iterates[k] for k in range(degree + 1)]
-
-    # per-step oracle errors xi_k = A v~_{k-1} - w_{k-1}
-    xi = [np.zeros_like(g)]
-    for k in range(1, degree + 1):
-        xi.append(exact_oracle.apply(trace.approx_iterates[k - 1]) - trace.oracle_outputs[k - 1])
-
-    # u_seq[i] tracks U_j(A) xi_i, advanced one j per outer step
+    # sweeps[i - 1] yields U_j(A) xi_i for j = 0, 1, ..., one j per outer step
     reconstructed = [np.zeros_like(g)]
-    u_prev: list = [None] * (degree + 1)
-    u_cur: list = [None] * (degree + 1)
+    sweeps = []
     for k in range(1, degree + 1):
+        xi_k = exact_apply(approx[k - 1]) - responses[k - 1]
+        sweeps.append(islice(_three_term(exact_step, np.zeros_like(g), xi_k), 1, None))
         total = np.zeros_like(g)
-        for i in range(1, k + 1):
-            j = k - i  # need U_j(A) xi_i
-            if j == 0:
-                u_prev[i], u_cur[i] = np.zeros_like(g), xi[i]
-            else:
-                u_prev[i], u_cur[i] = u_cur[i], 2.0 * exact_oracle.apply(u_cur[i]) - u_prev[i]
-            total += u_cur[i] if i == 1 else 2.0 * u_cur[i]
+        for i, sweep in enumerate(sweeps, start=1):
+            u = next(sweep)
+            total += u if i == 1 else 2.0 * u
         reconstructed.append(total)
     return measured, reconstructed

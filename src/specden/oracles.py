@@ -21,20 +21,16 @@ import scipy.sparse
 
 @dataclass
 class SymmetricMatrix:
-    """Real symmetric matrix, dense or sparse, symmetric by construction.
+    """Real symmetric matrix, symmetric by construction.
 
-    Only one triangle is taken from the input; the other is mirrored, so the
-    stored operator is exactly symmetric regardless of how the source data was
-    produced.
+    ``operand`` is a dense ndarray or a scipy CSR matrix; both multiply
+    vectors and column blocks with ``@``. Only one triangle is taken from the
+    input; the other is mirrored, so the stored operator is exactly symmetric
+    regardless of how the source data was produced.
     """
 
-    dense: Optional[np.ndarray] = None
-    sparse: Optional[scipy.sparse.csr_matrix] = None
+    operand: np.ndarray | scipy.sparse.csr_matrix
     norm_bound: Optional[float] = None  # declared bound on the spectral norm
-
-    def __post_init__(self):
-        if (self.dense is None) == (self.sparse is None):
-            raise ValueError("exactly one of dense/sparse must be given")
 
     @classmethod
     def from_dense(cls, arr, norm_bound=None) -> "SymmetricMatrix":
@@ -43,7 +39,7 @@ class SymmetricMatrix:
             raise ValueError(f"need a square matrix, got shape {arr.shape}")
         lower = np.tril(arr)
         sym = lower + np.tril(arr, -1).T
-        return cls(dense=sym, norm_bound=norm_bound)
+        return cls(sym, norm_bound=norm_bound)
 
     @classmethod
     def from_coo(cls, rows, cols, vals, n, norm_bound=None) -> "SymmetricMatrix":
@@ -59,27 +55,25 @@ class SymmetricMatrix:
         vv = np.concatenate([v, v[off]])
         mat = scipy.sparse.csr_matrix((vv, (rr, cc)), shape=(n, n))
         mat.sum_duplicates()
-        return cls(sparse=mat, norm_bound=norm_bound)
+        return cls(mat, norm_bound=norm_bound)
 
     @property
     def dimension(self) -> int:
-        return self.dense.shape[0] if self.dense is not None else self.sparse.shape[0]
+        return self.operand.shape[0]
 
     def matvec(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         if y.shape[0] != self.dimension:
             raise ValueError(f"dimension mismatch: matrix is {self.dimension}, vector is {y.shape[0]}")
-        if self.dense is not None:
-            return self.dense @ y
-        return self.sparse @ y
+        return self.operand @ y
 
     def to_dense(self) -> np.ndarray:
-        return self.dense if self.dense is not None else self.sparse.toarray()
+        if scipy.sparse.issparse(self.operand):
+            return self.operand.toarray()
+        return self.operand
 
     def scaled(self, factor: float) -> "SymmetricMatrix":
-        if self.dense is not None:
-            return SymmetricMatrix(dense=self.dense * factor, norm_bound=1.0)
-        return SymmetricMatrix(sparse=self.sparse * factor, norm_bound=1.0)
+        return SymmetricMatrix(self.operand * factor, norm_bound=1.0)
 
 
 @dataclass
@@ -116,9 +110,7 @@ class MatvecOracle:
         if self.matrix is not None and self.error_bound == 0.0:
             with self._lock:
                 self.calls += cols
-            if self.matrix.dense is not None:
-                return self.matrix.dense @ block
-            return self.matrix.sparse @ block
+            return self.matrix.operand @ block
         return np.column_stack([self.apply(block[:, j]) for j in range(cols)])
 
     def reset_counter(self):
@@ -131,7 +123,7 @@ def exact_oracle(matrix: SymmetricMatrix) -> MatvecOracle:
         dimension=matrix.dimension,
         apply_fn=matrix.matvec,
         error_bound=0.0,
-        cost_model="dense O(n^2)" if matrix.dense is not None else "sparse O(nnz)",
+        cost_model="sparse O(nnz)" if scipy.sparse.issparse(matrix.operand) else "dense O(n^2)",
         matrix=matrix,
     )
 

@@ -17,6 +17,7 @@ from specden import (
 from specden.chebyshev import (
     NORM_0,
     NORM_K,
+    _forward_sum,
     series_weighted_cdf,
     series_weighted_first_moment,
     series_weighted_integral,
@@ -25,6 +26,29 @@ from specden.chebyshev import (
 from conftest import quad_weighted_integral
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def _forward_sum_loop(weights, xs, second_kind):
+    """Reference: the accumulating sweep as an explicit loop."""
+    acc = np.full_like(xs, weights[0])
+    if weights.size > 1:
+        two_x = 2.0 * xs
+        p_prev = np.ones_like(xs)
+        p_cur = two_x.copy() if second_kind else xs.copy()
+        acc += weights[1] * p_cur
+        for w in weights[2:]:
+            p_prev, p_cur = p_cur, two_x * p_cur - p_prev
+            acc += w * p_cur
+    return acc
+
+
+def _cheb_eval_second_loop(k, x):
+    """Reference: the U_k sweep as an explicit loop, for k >= 1."""
+    u_prev = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
+    u_cur = 2.0 * x
+    for _ in range(2, k + 1):
+        u_prev, u_cur = u_cur, 2.0 * x * u_cur - u_prev
+    return u_cur
 
 
 class TestFirstKind:
@@ -269,3 +293,21 @@ class TestVectorizedClosedForms:
                 coeffs[k] * NORM_K * 0.5 * (raw[k + 1] + raw[k - 1]) for k in range(1, 361))
             assert series_weighted_integral(series, a, b) == pytest.approx(integral, abs=1e-12)
             assert series_weighted_first_moment(series, a, b) == pytest.approx(moment, abs=1e-12)
+
+
+class TestAgainstHandLoops:
+    @pytest.mark.parametrize("degree", [4, 80, 360])
+    def test_forward_sum_both_kinds(self, degree):
+        rng = np.random.default_rng(degree)
+        weights = rng.standard_normal(degree + 1)
+        xs = np.concatenate([[-1.0, -0.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, 1000)])
+        for second_kind in (False, True):
+            np.testing.assert_array_equal(_forward_sum(weights, xs, second_kind),
+                                          _forward_sum_loop(weights, xs, second_kind))
+
+    @pytest.mark.parametrize("degree", [4, 80, 360])
+    def test_cheb_eval_second(self, degree):
+        xs = np.random.default_rng(degree).uniform(-1.0, 1.0, 1000)
+        for k in (1, 2, degree):
+            np.testing.assert_array_equal(cheb_eval_second(k, xs), _cheb_eval_second_loop(k, xs))
+            assert cheb_eval_second(k, 0.37) == _cheb_eval_second_loop(k, 0.37)

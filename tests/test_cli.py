@@ -95,6 +95,23 @@ def test_moments_command(small_graph, tmp_path):
     assert mv.degree == 8 and mv.ell == 3 and mv.provenance == "hutchinson"
 
 
+def test_moments_manifest_matches_estimate(small_graph, tmp_path):
+    gpath, _, _ = small_graph
+    flags = ["--method", "graph-amv", "--degree", "8", "--ell", "2", "--seed", "4",
+             "--samples-per-matvec", "60"]
+    manifests = {}
+    for command in ("estimate", "moments"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, str(gpath), *flags, "--output", str(out)]) == 0
+        manifests[command] = json.loads((tmp_path / f"{command}.json.manifest.json").read_text())
+    est, mom = manifests["estimate"], manifests["moments"]
+    assert (est["command"], mom["command"]) == ("estimate", "moments")
+    assert mom["outputs"] == {"moments": str(tmp_path / "moments.json")}
+    for key in ("config", "seeds", "inputs", "oracle_calls", "entries_touched"):
+        assert mom[key] == est[key], key
+    assert mom["oracle_calls"] == 8 * 2
+
+
 def test_discretize_command(small_graph, tmp_path):
     gpath, tpath, truth = small_graph
     dpath = tmp_path / "d.json"

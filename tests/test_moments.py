@@ -13,12 +13,54 @@ from specden import (
     moments_from_spectrum,
     noisy_oracle,
     recurrence_error_decomposition,
-    run_traced_recurrence,
 )
 from specden.chebyshev import NORM_0, NORM_K
 from specden.moments import EstimationConfig, _sweep_products, rademacher
 
 from conftest import random_spectrum_matrix
+
+
+def _sweep_products_loop(oracle, g, degree):
+    """Reference: the probe sweep as an explicit loop."""
+    products = np.empty(degree)
+    v_prev = g
+    v_cur = oracle.apply(g)
+    products[0] = g @ v_cur
+    for k in range(2, degree + 1):
+        v_prev, v_cur = v_cur, 2.0 * oracle.apply(v_cur) - v_prev
+        products[k - 1] = g @ v_cur
+    return products
+
+
+def _exact_moments_loop(oracle, degree, max_block_elements):
+    """Reference: the blocked basis sweep as an explicit loop."""
+    n = oracle.dimension
+    block = max(1, min(n, max_block_elements // n))
+    values = np.zeros(degree)
+    for start in range(0, n, block):
+        cols = np.arange(start, min(start + block, n))
+        v_prev = np.zeros((n, cols.size))
+        v_prev[cols, np.arange(cols.size)] = 1.0
+        v_cur = oracle.apply_block(v_prev)
+        values[0] += v_cur[cols, np.arange(cols.size)].sum()
+        for k in range(2, degree + 1):
+            v_prev, v_cur = v_cur, 2.0 * oracle.apply_block(v_cur) - v_prev
+            values[k - 1] += v_cur[cols, np.arange(cols.size)].sum()
+    values *= NORM_K / n
+    return values
+
+
+def _moments_from_spectrum_loop(lam, degree):
+    """Reference: the pointwise sweep over the eigenvalues as an explicit loop."""
+    values = np.empty(degree)
+    t_prev = np.ones_like(lam)
+    t_cur = lam.copy()
+    values[0] = t_cur.mean()
+    for k in range(2, degree + 1):
+        t_prev, t_cur = t_cur, 2.0 * lam * t_cur - t_prev
+        values[k - 1] = t_cur.mean()
+    values *= NORM_K
+    return values
 
 
 class TestMomentVector:
@@ -189,12 +231,57 @@ class TestApproxHutchinson:
         assert mv.provenance == "hutchinson-approx"
 
 
+class TestDegreeValidation:
+    @pytest.mark.parametrize("degree", [0, -4, 6])
+    def test_rejected_before_any_warning(self, degree, caplog):
+        matrix, _ = random_spectrum_matrix(8, seed=0)
+        loud = noisy_oracle(matrix, 0.3, "random-direction", seed=1)
+        with caplog.at_level("WARNING"), pytest.raises(ValueError, match="multiple of 4"):
+            approx_hutchinson_moments(loud, degree, 1, 0)
+        assert not caplog.records
+        assert loud.calls == 0
+
+    @pytest.mark.parametrize("degree", [-4, 6])
+    def test_config_rejects_bad_degree(self, degree):
+        with pytest.raises(ValueError, match="multiple of 4"):
+            EstimationConfig(degree=degree)
+
+
+class TestAgainstHandLoops:
+    @pytest.mark.parametrize("degree", [4, 80, 360])
+    def test_probe_sweeps(self, degree):
+        matrix, _ = random_spectrum_matrix(16, seed=degree)
+        g = rademacher(16, seed=degree)
+        for make in (lambda: exact_oracle(matrix),
+                     lambda: noisy_oracle(matrix, 1e-3, "random-direction", seed=5)):
+            kernel, loop = make(), make()
+            np.testing.assert_array_equal(_sweep_products(kernel, g, degree),
+                                          _sweep_products_loop(loop, g, degree))
+            assert kernel.calls == loop.calls == degree
+
+    @pytest.mark.parametrize("degree", [4, 80, 360])
+    def test_exact_moments_over_two_blocks(self, degree):
+        matrix, _ = random_spectrum_matrix(15, seed=degree)
+        oracle = exact_oracle(matrix)
+        np.testing.assert_array_equal(
+            exact_moments(oracle, degree, max_block_elements=15 * 8).values,
+            _exact_moments_loop(exact_oracle(matrix), degree, 15 * 8))
+        assert oracle.calls == 15 * degree
+
+    @pytest.mark.parametrize("degree", [4, 80, 360])
+    def test_moments_from_spectrum(self, degree):
+        lam = np.random.default_rng(degree).uniform(-1.0, 1.0, 500)
+        np.testing.assert_array_equal(moments_from_spectrum(lam, degree).values,
+                                      _moments_from_spectrum_loop(lam, degree))
+
+
 class TestRecurrenceDecomposition:
     def test_zero_noise_zero_error(self):
         matrix, _ = random_spectrum_matrix(10, seed=1)
         g = rademacher(10, seed=1)
-        trace = run_traced_recurrence(noisy_oracle(matrix, 0.0, "random-direction", seed=0), g, 8)
-        measured, reconstructed = recurrence_error_decomposition(trace, exact_oracle(matrix))
+        measured, reconstructed = recurrence_error_decomposition(
+            noisy_oracle(matrix, 0.0, "random-direction", seed=0), g, 8,
+            exact_oracle(matrix).apply)
         for k in range(9):
             assert np.linalg.norm(measured[k]) == 0.0
             assert np.linalg.norm(reconstructed[k]) == 0.0
@@ -203,9 +290,11 @@ class TestRecurrenceDecomposition:
         matrix, _ = random_spectrum_matrix(10, seed=2)
         g = rademacher(10, seed=2)
         noisy = noisy_oracle(matrix, 1e-2, "random-direction", seed=8)
-        trace = run_traced_recurrence(noisy, g, 4)
-        xi_1 = exact_oracle(matrix).apply(g) - trace.oracle_outputs[0]
-        measured, reconstructed = recurrence_error_decomposition(trace, exact_oracle(matrix))
+        # the first call of a fresh oracle with the same seed draws the same noise
+        w_0 = noisy_oracle(matrix, 1e-2, "random-direction", seed=8).apply(g)
+        xi_1 = exact_oracle(matrix).apply(g) - w_0
+        measured, reconstructed = recurrence_error_decomposition(
+            noisy, g, 4, exact_oracle(matrix).apply)
         np.testing.assert_allclose(measured[1], xi_1, atol=1e-14)
         np.testing.assert_allclose(reconstructed[1], xi_1, atol=1e-14)
 
@@ -213,8 +302,8 @@ class TestRecurrenceDecomposition:
         matrix, _ = random_spectrum_matrix(20, seed=3)
         g = rademacher(20, seed=3)
         noisy = noisy_oracle(matrix, 1e-3, "random-direction", seed=4)
-        trace = run_traced_recurrence(noisy, g, 16)
-        measured, reconstructed = recurrence_error_decomposition(trace, exact_oracle(matrix))
+        measured, reconstructed = recurrence_error_decomposition(
+            noisy, g, 16, exact_oracle(matrix).apply)
         for k in range(1, 17):
             scale = max(np.linalg.norm(measured[k]), 1e-30)
             assert np.linalg.norm(measured[k] - reconstructed[k]) / scale <= 1e-8

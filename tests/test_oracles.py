@@ -45,7 +45,7 @@ class TestExactApply:
     def test_symmetrized_from_one_triangle(self):
         arr = np.array([[1.0, 99.0], [2.0, 3.0]])  # upper triangle ignored
         m = SymmetricMatrix.from_dense(arr)
-        np.testing.assert_array_equal(m.dense, [[1.0, 2.0], [2.0, 3.0]])
+        np.testing.assert_array_equal(m.to_dense(), [[1.0, 2.0], [2.0, 3.0]])
 
 
 class TestNoisyApply:
@@ -117,7 +117,7 @@ class TestSpectralNorm:
         m = SymmetricMatrix.from_dense(np.zeros((3, 3)))
         scaled, factor = scale_to_unit_norm(m)
         assert factor == 1.0
-        np.testing.assert_array_equal(scaled.dense, m.dense)
+        np.testing.assert_array_equal(scaled.to_dense(), m.to_dense())
 
 
 class TestCallCounting:
@@ -137,7 +137,7 @@ class TestCallCounting:
         block = np.eye(6)
         out = oracle.apply_block(block)
         assert oracle.calls == 6
-        np.testing.assert_allclose(out, m.dense, atol=1e-14)
+        np.testing.assert_allclose(out, m.to_dense(), atol=1e-14)
 
     def test_counter_safe_under_threads(self):
         import threading
