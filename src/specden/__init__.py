@@ -30,7 +30,6 @@ from .oracles import (
     scale_to_unit_norm,
 )
 from .moments import (
-    EstimationConfig,
     MomentVector,
     approx_hutchinson_moments,
     exact_moments,
@@ -60,7 +59,6 @@ from .graphs import (
     SampledMatvecReport,
     boosted_graph_oracle,
     exact_graph_oracle,
-    exact_normalized_matvec,
     generate_graph,
     graph_from_edges,
     laplacian_reflect,

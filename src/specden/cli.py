@@ -21,7 +21,6 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from statistics import median
-from typing import Optional
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .jackson import _check_degree, degree_for_accuracy, jackson_coefficients
 from .moments import (
     MomentVector,
     approx_hutchinson_moments,
+    default_ell,
     exact_moments,
     hutchinson_moments,
     moments_from_spectrum,
@@ -197,11 +197,7 @@ def _compute_moments(args, kind: str, loaded) -> tuple[MomentVector, dict]:
         loaded = matrix
 
     if ell == 0:
-        from .moments import EstimationConfig
-
-        cfg = EstimationConfig(eps=args.eps or 18.0 / degree, delta=args.delta,
-                               degree=degree)
-        ell = cfg.default_ell(n)
+        ell = default_ell(n, degree, args.delta)
         logger.info("ell=auto resolved to %d", ell)
     info["ell"] = ell
 
@@ -219,18 +215,20 @@ def _compute_moments(args, kind: str, loaded) -> tuple[MomentVector, dict]:
             raise ConfigError("method graph-amv needs a graph input, not a matrix")
         eps_mv = args.eps_mv if args.eps_mv is not None else 1.0 / (4.0 * degree**4)
         info["eps_mv"] = eps_mv
-        if args.samples_per_matvec is not None:
-            oracle = boosted_graph_oracle(loaded, eps_mv, args.delta,
-                                          repetitions=1,
-                                          samples=args.samples_per_matvec,
-                                          seed=args.seed)
-        else:
+        tuned = args.samples_per_matvec is not None
+        if not tuned:
             budget = math.ceil(48.0 * n / eps_mv**2)
             if budget > 10**8:
                 raise ConfigError(
                     f"worst-case sampling budget t={budget:.3g} per matvec is impractical; "
                     "pass --samples-per-matvec (tuned) or a larger --eps-mv")
-            oracle = boosted_graph_oracle(loaded, eps_mv, args.delta, seed=args.seed)
+        try:
+            oracle = boosted_graph_oracle(loaded, eps_mv, args.delta,
+                                          repetitions=1 if tuned else None,
+                                          samples=args.samples_per_matvec,
+                                          seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         moments = approx_hutchinson_moments(oracle, degree, ell, args.seed)
     else:
         raise ConfigError(f"unknown method {args.method!r}")
@@ -299,8 +297,11 @@ def _load_density(path_str: str) -> DensityEstimate:
 def cmd_eval(args) -> int:
     q = _load_density(args.density)
     truth = _load_truth_spectrum(args.truth)
-    w1_continuous = w1_density_vs_spectrum(q, truth, resolution=args.grid_points)
-    recovered = discretize_greedy(q, truth.n, args.disc_eps)
+    try:
+        w1_continuous = w1_density_vs_spectrum(q, truth, resolution=args.grid_points)
+        recovered = discretize_greedy(q, truth.n, args.disc_eps)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     w1_discretized = w1_discrete(recovered, truth)
     report = {
         "density": args.density,
@@ -325,12 +326,15 @@ def cmd_eval(args) -> int:
 
 def cmd_discretize(args) -> int:
     q = _load_density(args.density)
-    if args.method == "greedy":
-        if args.eps is None:
-            raise ConfigError("greedy discretization needs --eps")
-        spectrum = discretize_greedy(q, args.n, args.eps)
-    else:
-        spectrum = discretize_optimal(q, args.n)
+    if args.method == "greedy" and args.eps is None:
+        raise ConfigError("greedy discretization needs --eps")
+    try:
+        if args.method == "greedy":
+            spectrum = discretize_greedy(q, args.n, args.eps)
+        else:
+            spectrum = discretize_optimal(q, args.n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out = Path(args.output)
     if out.suffix == ".json":
         out.write_text(spectrum.to_json() + "\n")
@@ -378,7 +382,7 @@ SEARCH_FRACTIONS = (1 / 16, 1 / 8, 1 / 4, 1 / 2, 0.92)
 def _approx_run(graph, truth, degree, t, seed, disc_eps):
     """One tuned approximate-Hutchinson run.
 
-    Returns (w1, entries_touched, oracle_calls, density, moments).
+    Returns (w1, entries_touched, oracle_calls, density, moments, recovered).
     """
     oracle = boosted_graph_oracle(graph, eps_mv=0.5, delta=0.49, repetitions=1,
                                   samples=t, seed=seed)
@@ -386,7 +390,7 @@ def _approx_run(graph, truth, degree, t, seed, disc_eps):
     density = full_kpm(moments, jackson_coefficients(degree))
     recovered = discretize_greedy(density, truth.n, disc_eps)
     return (w1_discrete(recovered, truth), oracle.stats["entries_touched"],
-            oracle.calls, density, moments)
+            oracle.calls, density, moments, recovered)
 
 
 def _tune_samples(graph, truth, degree, disc_eps, base_seed, hutch_median, spent):
@@ -403,7 +407,7 @@ def _tune_samples(graph, truth, degree, disc_eps, base_seed, hutch_median, spent
         t = math.ceil(frac * graph.nnz)
         probe = []
         for s in range(2):
-            w1, entries, calls, _, _ = _approx_run(
+            w1, entries, calls, *_ = _approx_run(
                 graph, truth, degree, t, (base_seed, 999_331, s), disc_eps)
             spent["calls"] += calls
             spent["entries"] += entries
@@ -416,6 +420,8 @@ def _tune_samples(graph, truth, degree, disc_eps, base_seed, hutch_median, spent
 
 def cmd_experiment_table1(args) -> int:
     t_start = time.perf_counter()
+    if args.seeds < 1:
+        raise ConfigError("--seeds must be >= 1")
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     disc_eps = args.disc_eps
@@ -433,18 +439,17 @@ def cmd_experiment_table1(args) -> int:
         ideal_rec = discretize_greedy(ideal_density, truth.n, disc_eps)
         ideal_w1 = w1_discrete(ideal_rec, truth)
 
-        # Hutchinson with exact matvecs
+        # Hutchinson with exact matvecs; the first seed's run is plotted
         hutch_w1 = []
-        hutch_density = None
-        hutch_moment_vec = None
+        hutch_first = None
         for seed in seeds:
             oracle = exact_graph_oracle(graph)
             mom = hutchinson_moments(oracle, degree, TABLE1_ELL, seed)
             spent["calls"] += oracle.calls
             density = full_kpm(mom, coeffs)
-            if hutch_density is None:
-                hutch_density, hutch_moment_vec = density, mom
             rec = discretize_greedy(density, truth.n, disc_eps)
+            if hutch_first is None:
+                hutch_first = (density, mom, rec)
             hutch_w1.append(w1_discrete(rec, truth))
 
         # approximate Hutchinson through the sampled oracle
@@ -455,17 +460,16 @@ def cmd_experiment_table1(args) -> int:
                                      median(hutch_w1), spent)
         approx_w1 = []
         approx_entries = []
-        approx_density = None
-        approx_moment_vec = None
+        approx_first = None
         for seed in seeds:
-            w1, entries, calls, density, mom = _approx_run(
+            w1, entries, calls, density, mom, rec = _approx_run(
                 graph, truth, degree, t_budget, seed, disc_eps)
             spent["calls"] += calls
             spent["entries"] += entries
             approx_w1.append(w1)
             approx_entries.append(entries / calls)
-            if approx_density is None:
-                approx_density, approx_moment_vec = density, mom
+            if approx_first is None:
+                approx_first = (density, mom, rec)
 
         mean_entries_per_matvec = float(np.mean(approx_entries))
         results[label] = {
@@ -485,6 +489,8 @@ def cmd_experiment_table1(args) -> int:
         }
 
         # plot data: density curves, eigenvalue histograms, moment curves
+        hutch_density, hutch_moments, hutch_rec = hutch_first
+        approx_density, approx_moments, approx_rec = approx_first
         for name, density in (("idealized", ideal_density),
                               ("hutchinson", hutch_density),
                               ("approx", approx_density)):
@@ -492,11 +498,11 @@ def cmd_experiment_table1(args) -> int:
                            grid_points=args.grid_points)
         _write_histogram_csv(out_dir / f"{label}_eig_histogram.csv", truth, {
             "idealized": ideal_rec,
-            "hutchinson": discretize_greedy(hutch_density, truth.n, disc_eps),
-            "approx": discretize_greedy(approx_density, truth.n, disc_eps),
+            "hutchinson": hutch_rec,
+            "approx": approx_rec,
         })
         _write_moments_csv(out_dir / f"{label}_moments.csv", coeffs, exact,
-                           hutch_moment_vec, approx_moment_vec)
+                           hutch_moments, approx_moments)
 
     (out_dir / "table1.json").write_text(json.dumps(results, indent=2) + "\n")
     with open(out_dir / "table1.csv", "w") as fh:
@@ -544,9 +550,8 @@ def _write_histogram_csv(path, truth: DiscreteSpectrum, recovered: dict,
             fh.write(f"{float(edges[b])!r},{float(edges[b + 1])!r},{row}\n")
 
 
-def _write_moments_csv(path, coeffs, exact: MomentVector,
-                       hutch: Optional[MomentVector],
-                       approx: Optional[MomentVector]) -> None:
+def _write_moments_csv(path, coeffs, exact: MomentVector, hutch: MomentVector,
+                       approx: MomentVector) -> None:
     """Moment curves and their damped counterparts (figure analogues)."""
     ratios = coeffs.ratios
     with open(path, "w") as fh:
@@ -554,8 +559,8 @@ def _write_moments_csv(path, coeffs, exact: MomentVector,
                  "damped_exact,damped_hutchinson,damped_approx\n")
         for k in range(1, exact.degree + 1):
             te = float(exact.values[k - 1])
-            th = float(hutch.values[k - 1]) if hutch is not None else float("nan")
-            ta = float(approx.values[k - 1]) if approx is not None else float("nan")
+            th = float(hutch.values[k - 1])
+            ta = float(approx.values[k - 1])
             r = float(ratios[k])
             fh.write(f"{k},{r!r},{te!r},{th!r},{ta!r},"
                      f"{r * te!r},{r * th!r},{r * ta!r}\n")

@@ -1,8 +1,6 @@
-"""Undirected-graph access model, sublinear sampled matvec, and graph generators.
+"""Undirected graphs, the sublinear sampled matvec, and graph generators.
 
-Graphs are unweighted and simple. The access model supports three primitives:
-uniform vertex sampling in O(1), uniform neighbor sampling in O(1), and
-neighbor enumeration in O(d_i). The sampled matvec approximates the
+Graphs are unweighted and simple. The sampled matvec approximates the
 normalized adjacency product ``Abar y`` with ``Abar = D^{-1/2} A D^{-1/2}``
 by accept/reject column sampling; each loop iteration touches one matrix
 entry in expectation, which is what makes the oracle sublinear.
@@ -14,7 +12,7 @@ one at a time from a Walker alias table when k < n and as one multinomial
 otherwise. The per-iteration column probabilities ``p`` and the alias table
 are computed once per graph. That one-time O(nnz) work, the draw and the
 final sparse product are the simulator's own work; the reported cost
-(``entries_touched``) stays the access model's, one column read of d_i
+(``entries_touched``) stays the sampling loop's, one column read of d_i
 entries per accepted iteration.
 """
 
@@ -32,12 +30,14 @@ import scipy.sparse
 
 from .density import DensityEstimate
 from .chebyshev import ChebyshevSeries
-from .oracles import MatvecOracle
+from .oracles import MatvecOracle, SymmetricMatrix, exact_oracle
 from .spectrum import DiscreteSpectrum
 
 logger = logging.getLogger(__name__)
 
 GRAPH_KINDS = ("clique-plus-matching", "hairy-clique", "hypercube", "from-file")
+#: c in the boosted oracle's r = ceil(c log(1/delta)) repetitions per call
+BOOST_CONSTANT = 8.0
 
 
 @dataclass
@@ -46,16 +46,12 @@ class GraphAccess:
 
     ``indices[indptr[i]:indptr[i+1]]`` lists the neighbors of vertex i; both
     arrays are the sparsity pattern of ``norm_adjacency``, the graph's one
-    stored copy. ``has_list_access=False`` simulates the weaker access model
-    where enumeration is only available through repeated neighbor sampling;
-    it changes how ``neighbors`` enumerates, not what ``sampled_matvec``
-    returns.
+    stored copy.
     """
 
     n: int
     degrees: np.ndarray
     norm_adjacency: scipy.sparse.csr_matrix
-    has_list_access: bool = True
 
     @property
     def indptr(self) -> np.ndarray:
@@ -110,29 +106,9 @@ class GraphAccess:
             arr.flags.writeable = False  # shared by every call on this graph
         return table
 
-    def degree(self, i: int) -> int:
-        return int(self.degrees[i])
-
-    def neighbors(self, i: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """All neighbors of i: direct list read, or coupon-collector sampling
-        when list access is unavailable (expected O(d_i log d_i) samples)."""
-        if self.has_list_access:
-            return self.indices[self.indptr[i]:self.indptr[i + 1]]
-        if rng is None:
-            raise ValueError("neighbor enumeration by sampling needs an rng")
-        d = self.degree(i)
-        row = self.indices[self.indptr[i]:self.indptr[i + 1]]
-        seen: set[int] = set()
-        while len(seen) < d:
-            seen.add(int(row[rng.integers(0, d)]))
-        return np.fromiter(sorted(seen), dtype=row.dtype, count=d)
-
-    def sample_vertex(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(0, self.n))
-
-    def sample_neighbor(self, i: int, rng: np.random.Generator) -> int:
-        d = self.degree(i)
-        return int(self.indices[self.indptr[i] + rng.integers(0, d)])
+    def neighbors(self, i: int) -> np.ndarray:
+        """All neighbors of i, read from the adjacency list."""
+        return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
 
 def _edges_to_graph(us: np.ndarray, vs: np.ndarray, n: int,
@@ -164,31 +140,16 @@ def _edges_to_graph(us: np.ndarray, vs: np.ndarray, n: int,
     return GraphAccess(n=n, degrees=degrees, norm_adjacency=norm)
 
 
-def exact_normalized_matvec(graph: GraphAccess, y: np.ndarray) -> np.ndarray:
-    """z_i = sum_{j in N(i)} y_j / sqrt(d_i d_j), computed exactly."""
-    y = np.asarray(y, dtype=float)
-    if y.shape[0] != graph.n:
-        raise ValueError(f"dimension mismatch: graph has {graph.n} vertices")
-    return graph.norm_adjacency @ y
-
-
 def exact_graph_oracle(graph: GraphAccess) -> MatvecOracle:
-    from .oracles import SymmetricMatrix
-
-    return MatvecOracle(
-        dimension=graph.n,
-        apply_fn=lambda y: exact_normalized_matvec(graph, y),
-        error_bound=0.0,
-        cost_model="sparse O(nnz) per call",
-        matrix=SymmetricMatrix(graph.norm_adjacency, norm_bound=1.0),
-    )
+    """Exact oracle for ``Abar``: z_i = sum_{j in N(i)} y_j / sqrt(d_i d_j)."""
+    return exact_oracle(SymmetricMatrix(graph.norm_adjacency, norm_bound=1.0))
 
 
 @dataclass
 class SampledMatvecReport:
     """One sampled matvec: output plus its cost accounting.
 
-    ``entries_touched`` is the access model's cost: the d_i entries of column
+    ``entries_touched`` is the sampling loop's cost: the d_i entries of column
     i read once per accepted iteration, ``sum_i counts_i d_i``.
     ``accepted_counts`` (per-vertex acceptance tallies) is populated only on
     request; distribution tests use it to check the acceptance probabilities.
@@ -205,7 +166,7 @@ def sampled_matvec(graph: GraphAccess, y: np.ndarray, t: int, seed,
                    track_counts: bool = False) -> SampledMatvecReport:
     """Accept/reject column-sampled estimate of ``Abar y`` with budget t.
 
-    Each iteration of the access model's loop samples a vertex, then a
+    Each iteration of the sampling loop samples a vertex, then a
     neighbor i, and accepts with probability 1/d_i, so column i is used with
     probability ``p_i = (1/(n d_i)) sum_{j in N(i)} 1/d_j`` and the output is
     ``(1/t) sum over accepted columns of y_i Abar^i / p_i``.
@@ -221,13 +182,10 @@ def sampled_matvec(graph: GraphAccess, y: np.ndarray, t: int, seed,
     It returns ``Abar (counts * y / p) / t``. Computing ``p`` and the alias
     table once per graph (``GraphAccess.column_probabilities`` and
     ``GraphAccess.column_alias_table``), the draw and the sparse product are
-    the simulator's own work, not the access model's.
+    the simulator's own work, not the sampling loop's.
 
-    ``entries_touched = sum_i counts_i d_i`` is the access model's cost: one
-    read of column i's d_i entries per accepted iteration. Without list access
-    (``has_list_access=False``) enumerating a column takes an expected
-    O(d_i log d_i) neighbor samples instead (``GraphAccess.neighbors``); that
-    overhead is not included in ``entries_touched``.
+    ``entries_touched = sum_i counts_i d_i`` is the sampling loop's cost: one
+    read of column i's d_i entries per accepted iteration.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -257,13 +215,12 @@ def sampled_matvec(graph: GraphAccess, y: np.ndarray, t: int, seed,
 
 
 def boosted_graph_oracle(graph: GraphAccess, eps_mv: float, delta: float,
-                         boost_constant: float = 8.0,
                          repetitions: Optional[int] = None,
                          samples: Optional[int] = None,
                          seed=0) -> MatvecOracle:
     """Median-style boosting of the sampled matvec into an oracle contract.
 
-    Runs the sampler r = ceil(c log(1/delta)) times with budget
+    Runs the sampler r = ceil(BOOST_CONSTANT log(1/delta)) times with budget
     t = ceil(48 n / eps_mv^2) and returns the first candidate agreeing with a
     strict majority within radius (eps_mv/2)||y||. With probability >= 1-delta
     the result satisfies ``||z - Abar y|| <= eps_mv ||y||``. Candidate order is
@@ -279,11 +236,15 @@ def boosted_graph_oracle(graph: GraphAccess, eps_mv: float, delta: float,
         raise ValueError("eps_mv must be in (0, 1)")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
+    if repetitions is not None and repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
+    if samples is not None and samples < 1:
+        raise ValueError("samples must be >= 1")
     r = repetitions if repetitions is not None else max(
-        1, math.ceil(boost_constant * math.log(1.0 / delta)))
+        1, math.ceil(BOOST_CONSTANT * math.log(1.0 / delta)))
     t = samples if samples is not None else math.ceil(48.0 * graph.n / eps_mv**2)
     stats = {"entries_touched": 0, "samples_budget": t, "repetitions": r,
-             "flagged_calls": 0, "matvec_calls": 0}
+             "flagged_calls": 0}
     lock = threading.Lock()
     counter = {"i": 0}
 
@@ -295,7 +256,6 @@ def boosted_graph_oracle(graph: GraphAccess, eps_mv: float, delta: float,
                    for rep in range(r)]
         with lock:
             stats["entries_touched"] += sum(rep.entries_touched for rep in reports)
-            stats["matvec_calls"] += 1
         if r == 1:
             return reports[0].output
         candidates = [rep.output for rep in reports]
@@ -320,7 +280,6 @@ def boosted_graph_oracle(graph: GraphAccess, eps_mv: float, delta: float,
         dimension=graph.n,
         apply_fn=apply_fn,
         error_bound=eps_mv,
-        cost_model=f"expected O(t) with t={t}, r={r} repetitions per call",
         stats=stats,
     )
 

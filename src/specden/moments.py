@@ -29,6 +29,9 @@ from .oracles import MatvecOracle
 logger = logging.getLogger(__name__)
 
 PROVENANCES = ("exact", "hutchinson", "hutchinson-approx")
+#: c in the repetition formula of :func:`default_ell`; 16 is an empirical
+#: calibration, not a proven value
+ELL_CONSTANT = 16.0
 
 
 @dataclass(frozen=True)
@@ -84,37 +87,17 @@ class MomentVector:
         )
 
 
-@dataclass
-class EstimationConfig:
-    """Run parameters tying the accuracy target to degree and repetitions.
+def default_ell(n: int, degree: int, delta: float) -> int:
+    """Hutchinson repetitions for an n x n matrix at degree N:
+    ``max(1, ceil(c log^2(N/delta) / (n tol^2)))`` with ``c = ELL_CONSTANT``.
 
-    ``per_moment_tol`` defaults to 1/N^2, the accuracy at which the damped
-    density construction keeps its Wasserstein guarantee. ``constant_c`` is
-    the unspecified constant in the repetition formula; 16 is an empirical
-    calibration, not a proven value.
+    ``tol = 1/N^2`` is the per-moment accuracy at which the damped density
+    construction keeps its Wasserstein guarantee.
     """
-
-    eps: float = 0.1
-    delta: float = 0.05
-    degree: int = 0
-    ell: int = 0
-    per_moment_tol: float = 0.0
-    eps_mv: float = 0.0
-    constant_c: float = 16.0
-
-    def __post_init__(self):
-        if self.degree:
-            _check_degree(self.degree)
-        if not self.per_moment_tol and self.degree:
-            self.per_moment_tol = 1.0 / self.degree**2
-
-    def default_ell(self, n: int) -> int:
-        """max(1, ceil(c log^2(N/delta) / (n tol^2))) repetitions."""
-        if not self.degree:
-            raise ValueError("degree must be set first")
-        tol = self.per_moment_tol or 1.0 / self.degree**2
-        raw = self.constant_c * math.log(self.degree / self.delta) ** 2 / (n * tol**2)
-        return max(1, math.ceil(raw))
+    _check_degree(degree)
+    tol = 1.0 / degree**2
+    raw = ELL_CONSTANT * math.log(degree / delta) ** 2 / (n * tol**2)
+    return max(1, math.ceil(raw))
 
 
 def rademacher(n: int, seed) -> np.ndarray:

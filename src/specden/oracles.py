@@ -89,7 +89,6 @@ class MatvecOracle:
     dimension: int
     apply_fn: Callable[[np.ndarray], np.ndarray]
     error_bound: float = 0.0
-    cost_model: str = "unspecified"
     matrix: Optional[SymmetricMatrix] = None  # set when A is materialized
     calls: int = 0
     stats: dict = field(default_factory=dict)  # implementation-specific accounting
@@ -113,17 +112,12 @@ class MatvecOracle:
             return self.matrix.operand @ block
         return np.column_stack([self.apply(block[:, j]) for j in range(cols)])
 
-    def reset_counter(self):
-        with self._lock:
-            self.calls = 0
-
 
 def exact_oracle(matrix: SymmetricMatrix) -> MatvecOracle:
     return MatvecOracle(
         dimension=matrix.dimension,
         apply_fn=matrix.matvec,
         error_bound=0.0,
-        cost_model="sparse O(nnz)" if scipy.sparse.issparse(matrix.operand) else "dense O(n^2)",
         matrix=matrix,
     )
 
@@ -190,7 +184,6 @@ def noisy_oracle(matrix: SymmetricMatrix, eps_mv: float, mode: str, seed) -> Mat
         dimension=matrix.dimension,
         apply_fn=apply_fn,
         error_bound=eps_mv,
-        cost_model="exact matvec + O(n) noise",
         matrix=matrix,
     )
 

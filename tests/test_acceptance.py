@@ -186,7 +186,7 @@ def test_criterion_5_recurrence_stability():
 
 
 def test_criterion_6_sampling_variance():
-    from specden import exact_normalized_matvec, graph_from_edges
+    from specden import graph_from_edges
 
     graphs = {
         "K2": graph_from_edges([0], [1], 2),
@@ -198,7 +198,7 @@ def test_criterion_6_sampling_variance():
     for tag, (label, graph) in enumerate(graphs.items()):
         rng = np.random.default_rng(600 + tag)
         y = rng.standard_normal(graph.n)
-        truth = exact_normalized_matvec(graph, y)
+        truth = graph.norm_adjacency @ y
         pred_unit = graph.n * float(y @ y) - float(truth @ truth)
         for t in (10, 100, 1000):
             sq = np.empty(trials)

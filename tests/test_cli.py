@@ -172,6 +172,23 @@ class TestExitCodes:
         assert main(["discretize", "--density", str(dpath), "-n", "5",
                      "--method", "greedy", "--output", str(tmp_path / "s.txt")]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["experiment-table1", "--seeds", "0", "--output", "{out}"],
+        ["estimate", "{graph}", "--method", "graph-amv", "--degree", "8",
+         "--samples-per-matvec", "0", "--output", "{out}"],
+        ["eval", "--density", "{density}", "--truth", "{truth}", "--grid-points", "10"],
+        ["eval", "--density", "{density}", "--truth", "{truth}", "--disc-eps", "2"],
+        ["discretize", "--density", "{density}", "-n", "0", "--eps", "0.1",
+         "--output", "{out}"],
+    ], ids=["seeds", "samples-per-matvec", "grid-points", "disc-eps", "discretize-n"])
+    def test_bad_count_is_3(self, argv, small_graph, tmp_path):
+        gpath, tpath, _ = small_graph
+        dpath = tmp_path / "d.json"
+        main(["estimate", str(gpath), "--method", "exact", "--degree", "8",
+              "--output", str(dpath)])
+        paths = {"graph": gpath, "truth": tpath, "density": dpath, "out": tmp_path / "out"}
+        assert main([arg.format(**paths) for arg in argv]) == 3
+
 
 def test_auto_scale_records_factor(tmp_path):
     mat = tmp_path / "m.txt"

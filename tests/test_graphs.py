@@ -13,7 +13,6 @@ from specden import (
     boosted_graph_oracle,
     dense_eigenvalues,
     exact_graph_oracle,
-    exact_normalized_matvec,
     generate_graph,
     graph_from_edges,
     idealized_kpm,
@@ -87,36 +86,28 @@ class TestGraphAccess:
         with pytest.raises(ValueError):
             load_graph(path)
 
-    def test_coupon_collector_enumeration(self):
-        g = star(6)
-        g.has_list_access = False
-        rng = np.random.default_rng(0)
-        np.testing.assert_array_equal(np.sort(g.neighbors(0, rng=rng)), np.arange(1, 7))
-        with pytest.raises(ValueError):
-            g.neighbors(0)  # rng required without list access
-
 
 class TestExactMatvec:
     def test_k2_swap(self):
         np.testing.assert_allclose(
-            exact_normalized_matvec(k2(), np.array([1.0, 0.0])), [0.0, 1.0])
+            exact_graph_oracle(k2()).apply(np.array([1.0, 0.0])), [0.0, 1.0])
 
     def test_star_center_indicator(self):
         g = star(4)
         y = np.zeros(5)
         y[0] = 1.0
-        out = exact_normalized_matvec(g, y)
+        out = exact_graph_oracle(g).apply(y)
         np.testing.assert_allclose(out[1:], 1.0 / math.sqrt(4.0), atol=1e-15)
         assert out[0] == 0.0
 
     def test_regular_graph_fixes_ones(self):
         g, _ = generate_graph("hypercube", bits=5)
         ones = np.ones(g.n)
-        np.testing.assert_allclose(exact_normalized_matvec(g, ones), ones, atol=1e-12)
+        np.testing.assert_allclose(exact_graph_oracle(g).apply(ones), ones, atol=1e-12)
 
     def test_dimension_check(self):
         with pytest.raises(ValueError):
-            exact_normalized_matvec(k2(), np.ones(3))
+            exact_graph_oracle(k2()).apply(np.ones(3))
 
 
 class TestGenerators:
@@ -196,7 +187,7 @@ class TestSampledMatvec:
     def test_unbiased_on_path3(self):
         g = path3()
         y = np.array([0.3, -0.2, 0.9])
-        truth = exact_normalized_matvec(g, y)
+        truth = g.norm_adjacency @ y
         rep = sampled_matvec(g, y, t=400_000, seed=3)
         np.testing.assert_allclose(rep.output, truth, atol=0.02)
 
@@ -220,7 +211,7 @@ class TestSampledMatvec:
         g = make()
         rng = np.random.default_rng(11)
         y = rng.standard_normal(g.n)
-        truth = exact_normalized_matvec(g, y)
+        truth = g.norm_adjacency @ y
         pred_unit = g.n * float(y @ y) - float(truth @ truth)
         for t in (10, 100):
             sq = np.array([
@@ -266,16 +257,6 @@ class TestSampledMatvec:
         assert scipy.stats.chisquare(np.bincount(group, weights=observed),
                                      np.bincount(group, weights=expected)).pvalue >= 0.001
 
-    def test_without_list_access_still_unbiased(self):
-        g = star(5)
-        g.has_list_access = False
-        y = np.random.default_rng(2).standard_normal(6)
-        truth = exact_normalized_matvec(g, y)
-        acc = np.zeros(6)
-        for seed in range(400):
-            acc += sampled_matvec(g, y, t=100, seed=(1, seed)).output
-        np.testing.assert_allclose(acc / 400, truth, atol=0.05)
-
     @pytest.mark.parametrize("make", [
         lambda: star(8),
         lambda: generate_graph("hypercube", bits=8)[0],
@@ -292,15 +273,6 @@ class TestSampledMatvec:
         drawn = (prob + np.bincount(alias, weights=1.0 - prob, minlength=g.n)) / g.n
         np.testing.assert_allclose(drawn, p / p.sum(), rtol=0, atol=1e-15)
         assert g.column_alias_table is g.column_alias_table
-
-    def test_list_access_does_not_change_the_output(self):
-        for g in (star(8), generate_graph("hypercube", bits=8)[0]):
-            y = np.random.default_rng(4).standard_normal(g.n)
-            listed = sampled_matvec(g, y, t=3000, seed=12)
-            g.has_list_access = False
-            sampled = sampled_matvec(g, y, t=3000, seed=12)
-            np.testing.assert_array_equal(listed.output, sampled.output)
-            assert listed.entries_touched == sampled.entries_touched
 
     def test_hypercube14_time_gate(self):
         # the budget table1's search picks on this graph at seed 0
@@ -331,7 +303,7 @@ class TestBoostedOracle:
         g = k2()
         oracle = boosted_graph_oracle(g, eps_mv=0.5, delta=0.05, seed=0)
         y = np.array([1.0, 0.0])
-        truth = exact_normalized_matvec(g, y)
+        truth = g.norm_adjacency @ y
         failures = sum(
             np.linalg.norm(oracle.apply(y) - truth) > 0.5 * np.linalg.norm(y)
             for _ in range(200))
@@ -348,7 +320,7 @@ class TestBoostedOracle:
             y = rng.standard_normal(g.n)
             y /= np.linalg.norm(y)
             z = oracle.apply(y)
-            if np.linalg.norm(z - exact_normalized_matvec(g, y)) > eps:
+            if np.linalg.norm(z - g.norm_adjacency @ y) > eps:
                 failures += 1
         assert failures / calls <= 0.05
         assert oracle.calls == calls
@@ -364,6 +336,9 @@ class TestBoostedOracle:
         for eps, delta in ((0.0, 0.1), (1.0, 0.1), (0.5, 0.0), (0.5, 1.0)):
             with pytest.raises(ValueError):
                 boosted_graph_oracle(g, eps_mv=eps, delta=delta)
+        for schedule in ({"samples": 0}, {"repetitions": 0}, {"samples": -1}):
+            with pytest.raises(ValueError):
+                boosted_graph_oracle(g, eps_mv=0.5, delta=0.1, **schedule)
 
 
 class TestLaplacianReflect:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from specden import (
     recurrence_error_decomposition,
 )
 from specden.chebyshev import NORM_0, NORM_K
-from specden.moments import EstimationConfig, _sweep_products, rademacher
+from specden.moments import _sweep_products, default_ell, rademacher
 
 from conftest import random_spectrum_matrix
 
@@ -173,8 +174,7 @@ class TestHutchinson:
     def test_repetition_formula_concentrates(self):
         # calibration check for the repetition count at the 1/N^2 tolerance
         n, degree, delta = 100, 4, 0.25
-        cfg = EstimationConfig(delta=delta, degree=degree)
-        ell = cfg.default_ell(n)
+        ell = default_ell(n, degree, delta)
         matrix, lam = random_spectrum_matrix(n, seed=6)
         exact = moments_from_spectrum(lam, degree)
         tol = 1.0 / degree**2
@@ -220,8 +220,7 @@ class TestApproxHutchinson:
     def test_lemma_configuration_meets_tolerance(self):
         # eps_mv = tol/(4N^2) with the calibrated ell keeps every moment within tol
         n, degree, delta = 100, 8, 0.2
-        cfg = EstimationConfig(delta=delta, degree=degree)
-        ell = cfg.default_ell(n)
+        ell = default_ell(n, degree, delta)
         tol = 1.0 / degree**2
         matrix, lam = random_spectrum_matrix(n, seed=40)
         exact = moments_from_spectrum(lam, degree)
@@ -229,6 +228,24 @@ class TestApproxHutchinson:
         mv = approx_hutchinson_moments(oracle, degree, ell=ell, seed=11)
         assert np.abs(mv.values - exact.values).max() <= tol
         assert mv.provenance == "hutchinson-approx"
+
+
+def _default_ell_reference(n, degree, delta):
+    """Reference: the repetition formula as the former ``EstimationConfig``
+    computed it, with ``per_moment_tol`` defaulted to 1/N^2."""
+    constant_c = 16.0
+    per_moment_tol = 1.0 / degree**2
+    tol = per_moment_tol or 1.0 / degree**2
+    raw = constant_c * math.log(degree / delta) ** 2 / (n * tol**2)
+    return max(1, math.ceil(raw))
+
+
+@pytest.mark.parametrize("n", [1, 2, 40, 1000, 16384, 10**6, 10**12])
+def test_default_ell_matches_reference(n):
+    for degree, delta in itertools.product((4, 8, 40, 80, 360, 1000),
+                                           (1e-6, 0.01, 0.05, 0.25, 0.49, 0.9)):
+        assert default_ell(n, degree, delta) == _default_ell_reference(n, degree, delta), \
+            (n, degree, delta)
 
 
 class TestDegreeValidation:
@@ -244,7 +261,7 @@ class TestDegreeValidation:
     @pytest.mark.parametrize("degree", [-4, 6])
     def test_config_rejects_bad_degree(self, degree):
         with pytest.raises(ValueError, match="multiple of 4"):
-            EstimationConfig(degree=degree)
+            default_ell(100, degree, 0.05)
 
 
 class TestAgainstHandLoops:
