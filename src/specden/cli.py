@@ -154,7 +154,10 @@ def _resolve_degree(args) -> int:
             raise ConfigError(f"--degree: {exc}") from exc
         return args.degree
     if args.eps is not None:
-        return degree_for_accuracy(args.eps)
+        try:
+            return degree_for_accuracy(args.eps)
+        except ValueError as exc:
+            raise ConfigError(f"--eps: {exc}") from exc
     raise ConfigError("one of --eps or --degree is required")
 
 
@@ -178,6 +181,8 @@ def _compute_moments(args, kind: str, loaded) -> tuple[MomentVector, dict]:
     degree = _resolve_degree(args)
     info: dict = {"degree": degree, "method": args.method, "scale_factor": None}
     ell = _resolve_ell(args)
+    if not 0.0 < args.delta < 1.0:
+        raise ConfigError(f"--delta must lie in (0, 1), got {args.delta}")
 
     if kind == "graph":
         graph: GraphAccess = loaded
@@ -199,6 +204,10 @@ def _compute_moments(args, kind: str, loaded) -> tuple[MomentVector, dict]:
     if ell == 0:
         ell = default_ell(n, degree, args.delta)
         logger.info("ell=auto resolved to %d", ell)
+        if ell >= n and args.method != "exact":
+            raise ConfigError(
+                f"--ell auto resolved to {ell} probes for n={n}, more matvecs than "
+                "the exact trace; use --method exact")
     info["ell"] = ell
 
     if args.method == "exact":
@@ -350,14 +359,15 @@ def cmd_graph_gen(args) -> int:
     if args.kind == "hypercube":
         if args.bits is None:
             raise ConfigError("hypercube needs --bits")
-        graph, truth = generate_graph("hypercube", bits=args.bits)
+        size = {"bits": args.bits}
     else:
         if args.n is None:
             raise ConfigError(f"{args.kind} needs -n")
-        try:
-            graph, truth = generate_graph(args.kind, n=args.n)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        size = {"n": args.n}
+    try:
+        graph, truth = generate_graph(args.kind, **size)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     save_graph(graph, args.output)
     print(f"wrote {args.output} (n={graph.n}, m={graph.edge_count})")
     if args.truth_output and truth is not None:
@@ -398,12 +408,12 @@ def _tune_samples(graph, truth, degree, disc_eps, base_seed, hutch_median, spent
 
     Doubles t until the probe median is on par with exact-matvec Hutchinson
     (within 30%, or 2 points absolute); the cap keeps the touched-entry
-    fraction under one even when parity is out of reach. The probe runs'
+    fraction under one even when parity is out of reach. The cap is returned
+    whatever its probes would score, so it is never probed. The probe runs'
     oracle calls and entries touched are added to ``spent``.
     """
     target = max(1.3 * hutch_median, hutch_median + 0.02)
-    chosen = None
-    for frac in SEARCH_FRACTIONS:
+    for frac in SEARCH_FRACTIONS[:-1]:
         t = math.ceil(frac * graph.nnz)
         probe = []
         for s in range(2):
@@ -412,10 +422,9 @@ def _tune_samples(graph, truth, degree, disc_eps, base_seed, hutch_median, spent
             spent["calls"] += calls
             spent["entries"] += entries
             probe.append(w1)
-        chosen = t
         if median(probe) <= target:
-            break
-    return chosen
+            return t
+    return math.ceil(SEARCH_FRACTIONS[-1] * graph.nnz)
 
 
 def cmd_experiment_table1(args) -> int:

@@ -7,8 +7,16 @@ with Hutchinson's estimator, and stochastically through an approximate
 matrix-vector oracle. All paths, and the recurrence error decomposition, run
 the one forward recurrence of :func:`specden.chebyshev._three_term`,
 ``T_k(A) g = 2 A T_{k-1}(A) g - T_{k-2}(A) g``, and harvest every moment from a
-single sweep per probe vector, so the oracle budget is exactly N calls per
-probe.
+single sweep per probe vector.
+
+On an exact oracle (``error_bound == 0``) the sweep stops at v_{N/2}: the
+identities ``T_{2j} = 2 T_j^2 - T_0`` and ``T_{2j+1} = 2 T_{j+1} T_j - T_1``
+give every moment up to N from inner products of v_0..v_{N/2} (Weisse,
+Wellein, Alvermann & Fehske, Rev. Mod. Phys. 78, 275, 2006), so the budget is
+N/2 calls per probe and per basis column. Noisy and sampled oracles run the
+whole sweep, N calls per probe: with per-step noise e_j,
+``E||T~_j g||^2 = ||T_j g||^2 + E||e_j||^2``, so a doubled product would carry
+a bias the plain one does not.
 """
 
 from __future__ import annotations
@@ -107,9 +115,40 @@ def rademacher(n: int, seed) -> np.ndarray:
     return rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
 
 
+def _doubled_products(sweep, degree: int, inner) -> np.ndarray:
+    """<v_0, v_k> for k = 1..N from only v_0..v_{N/2} of an exact sweep.
+
+    ``v_k = T_k(A) v_0`` with A symmetric, so ``<v_0, v_2j> = 2 <v_j, v_j> -
+    <v_0, v_0>`` and ``<v_0, v_2j+1> = 2 <v_j+1, v_j> - <v_0, v_1>``, with
+    ``inner`` as <., .>. N is a multiple of 4, so the sweep stops at a whole
+    step.
+    """
+    products = np.empty(degree)
+    v_0 = next(sweep)
+    base = inner(v_0, v_0)
+    prev = next(sweep)
+    products[0] = inner(v_0, prev)
+    del v_0  # only the sweep holds v_0 now, so it is freed after the next step
+    products[1] = 2.0 * inner(prev, prev) - base
+    for k, cur in zip(range(3, degree, 2), sweep):
+        products[k - 1] = 2.0 * inner(cur, prev) - products[0]
+        products[k] = 2.0 * inner(cur, cur) - base
+        prev = cur
+    return products
+
+
+def _frobenius(a: np.ndarray, b: np.ndarray) -> float:
+    """<a, b>_F by numpy's pairwise sum; one BLAS dot over a whole basis block
+    of hypercube-10 puts ~4e-13 of rounding into the moments, this ~1e-15."""
+    return np.sum(a * b)
+
+
 def _sweep_products(oracle: MatvecOracle, g: np.ndarray, degree: int) -> np.ndarray:
-    """g^T v_k for k = 1..N from one recurrence sweep (exactly N oracle calls)."""
+    """g^T v_k for k = 1..N from one recurrence sweep: N/2 oracle calls on an
+    exact oracle, N on a noisy or sampled one."""
     sweep = _three_term(lambda v: 2.0 * oracle.apply(v), g, oracle.apply(g))
+    if oracle.error_bound == 0.0:
+        return _doubled_products(sweep, degree, np.dot)
     return np.array([g @ v for v in islice(sweep, 1, degree + 1)])
 
 
@@ -130,7 +169,7 @@ def _gather_moments(oracle: MatvecOracle, degree: int, ell: int, seed,
 
 
 def hutchinson_moments(oracle: MatvecOracle, degree: int, ell: int, seed) -> MomentVector:
-    """Hutchinson estimate of all N moments; unbiased, N*ell oracle calls."""
+    """Hutchinson estimate of all N moments; unbiased, N*ell/2 oracle calls."""
     if oracle.error_bound != 0.0:
         raise ValueError("hutchinson_moments needs an exact oracle; "
                          "use approx_hutchinson_moments for noisy ones")
@@ -141,9 +180,10 @@ def approx_hutchinson_moments(oracle: MatvecOracle, degree: int, ell: int, seed)
     """Moment estimation through an approximate oracle.
 
     Identical to :func:`hutchinson_moments` when the oracle error is zero;
-    otherwise each estimator carries a bias of at most
-    ``2 eps_mv (k+1)^2 ||g||^2`` through the recurrence. Oracle error above
-    1/(2 N^2) is allowed but forfeits that bound, hence the warning.
+    otherwise each estimator runs the whole sweep, N*ell oracle calls, and
+    carries a bias of at most ``2 eps_mv (k+1)^2 ||g||^2`` through the
+    recurrence. Oracle error above 1/(2 N^2) is allowed but forfeits that
+    bound, hence the warning.
     """
     _check_degree(degree)
     if oracle.error_bound > 0.5 / degree**2:
@@ -158,12 +198,13 @@ def approx_hutchinson_moments(oracle: MatvecOracle, degree: int, ell: int, seed)
 
 def exact_moments(oracle: MatvecOracle, degree: int,
                   max_block_elements: int = 2**24) -> MomentVector:
-    """Exact moments by sweeping the whole standard basis: n*N oracle calls.
+    """Exact moments by sweeping the whole standard basis: n*N/2 oracle calls.
 
     The basis is processed in column blocks (bounded by ``max_block_elements``
-    per work array) so memory stays flat; each block runs the matrix
-    recurrence and contributes its part of every trace. Expensive for large
-    n, by design: this is the ground-truth path.
+    per work array) so memory stays flat; each block E runs the matrix
+    recurrence to V_{N/2} and contributes its part of every trace,
+    ``2 ||V_j||_F^2 - b`` and ``2 <V_j+1, V_j>_F - <E, V_1>_F`` for its b
+    columns. Expensive for large n, by design: this is the ground-truth path.
     """
     if oracle.error_bound != 0.0:
         raise ValueError("exact_moments needs an exact oracle")
@@ -172,14 +213,11 @@ def exact_moments(oracle: MatvecOracle, degree: int,
     block = max(1, min(n, max_block_elements // n))
     values = np.zeros(degree)
     for start in range(0, n, block):
-        cols = np.arange(start, min(start + block, n))
-        diagonal = (cols, np.arange(cols.size))
-        basis = np.eye(n, cols.size, -start)
+        basis = np.eye(n, min(block, n - start), -start)
         sweep = _three_term(lambda v: 2.0 * oracle.apply_block(v), basis,
                             oracle.apply_block(basis))
         del basis  # only the sweep holds the block now, so it is freed after two steps
-        for k, v in enumerate(islice(sweep, 1, degree + 1)):
-            values[k] += v[diagonal].sum()
+        values += _doubled_products(sweep, degree, _frobenius)
     values *= NORM_K / n
     return MomentVector(degree=degree, values=values, provenance="exact", ell=0)
 

@@ -309,11 +309,14 @@ def test_table1_manifest_counts_search_probes(table1):
     seeds = manifest["config"]["seeds"]
     expected = 0
     for row in results.values():
-        per_run = row["ell"] * row["degree"]  # one oracle call per probe per degree
-        steps = 1 + next(i for i, frac in enumerate(SEARCH_FRACTIONS)
-                         if math.ceil(frac * row["nnz"]) == row["samples_per_matvec"])
-        # Hutchinson and approx runs per seed, plus two probe runs per search step
-        expected += 2 * seeds * per_run + 2 * steps * per_run
+        per_run = row["ell"] * row["degree"]  # sampled: one call per probe per degree
+        # the search probes each budget below the cap and returns the cap unprobed
+        budgets = [math.ceil(frac * row["nnz"]) for frac in SEARCH_FRACTIONS[:-1]]
+        chosen = row["samples_per_matvec"]
+        steps = budgets.index(chosen) + 1 if chosen in budgets else len(budgets)
+        # exact-matvec Hutchinson doubles (N/2 calls per probe), then the
+        # approx runs per seed, plus two probe runs per search step
+        expected += seeds * per_run // 2 + seeds * per_run + 2 * steps * per_run
     assert manifest["oracle_calls"] == expected
 
 

@@ -1,4 +1,6 @@
 import json
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from specden import (
     moments_from_spectrum,
     w1_density_vs_spectrum,
 )
-from specden.cli import main
+from specden import cli
+from specden.cli import SEARCH_FRACTIONS, main
 from specden.moments import MomentVector
 
 
@@ -43,7 +46,7 @@ def test_graph_gen_and_estimate_pipeline(tmp_path):
     assert density.degree == 16
 
     manifest = json.loads((tmp_path / "density.json.manifest.json").read_text())
-    assert manifest["oracle_calls"] == 16 * 2
+    assert manifest["oracle_calls"] == 16 * 2 // 2  # exact matvecs: N/2 per probe
     assert manifest["config"]["method"] == "hutchinson"
     assert manifest["seeds"]["seed"] == 7
 
@@ -72,7 +75,7 @@ def test_estimate_exact_method(small_graph, tmp_path):
     density = DensityEstimate.from_json(dpath.read_text())
     assert density.metadata["construction"] == "idealized"
     manifest = json.loads((tmp_path / "exact.json.manifest.json").read_text())
-    assert manifest["oracle_calls"] == 40 * 16
+    assert manifest["oracle_calls"] == 40 * 16 // 2  # N/2 per basis column
 
 
 def test_estimate_graph_amv_with_tuned_budget(small_graph, tmp_path):
@@ -190,6 +193,43 @@ class TestExitCodes:
         assert main([arg.format(**paths) for arg in argv]) == 3
 
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "{graph}", "--ell", "auto", "--delta", "0", "--degree", "8"],
+        ["estimate", "{graph}", "--delta", "-1", "--degree", "8"],
+        ["estimate", "{graph}", "--delta", "1", "--degree", "8"],
+        ["estimate", "{graph}", "--eps", "0"],
+    ], ids=["delta-zero", "delta-negative", "delta-one", "eps-zero"])
+    def test_bad_accuracy_flag_is_3(self, argv, small_graph, tmp_path, capsys):
+        gpath, _, _ = small_graph
+        paths = {"graph": gpath}
+        out = tmp_path / "o.json"
+        assert main([arg.format(**paths) for arg in argv] + ["--output", str(out)]) == 3
+        assert not out.exists()
+        assert "config error" in capsys.readouterr().err
+
+    def test_hypercube_zero_bits_is_3(self, tmp_path):
+        assert main(["graph-gen", "--kind", "hypercube", "--bits", "0",
+                     "--output", str(tmp_path / "g.txt")]) == 3
+
+    @pytest.mark.parametrize("method", ["hutchinson", "graph-amv"])
+    def test_auto_ell_past_n_points_to_exact(self, method, small_graph, tmp_path, capsys):
+        # n = 40 at N = 8: the repetition formula asks for ~1e5 probes
+        gpath, _, _ = small_graph
+        out = tmp_path / "o.json"
+        assert main(["estimate", str(gpath), "--method", method, "--ell", "auto",
+                     "--degree", "8", "--samples-per-matvec", "60",
+                     "--output", str(out)]) == 3
+        assert not out.exists()
+        assert "--method exact" in capsys.readouterr().err
+
+
+def test_auto_ell_with_exact_method_runs(small_graph, tmp_path):
+    # the exact trace reads no probes, so a large resolved ell does not stop it
+    gpath, _, _ = small_graph
+    assert main(["estimate", str(gpath), "--method", "exact", "--ell", "auto",
+                 "--degree", "8", "--output", str(tmp_path / "o.json")]) == 0
+
+
 def test_auto_scale_records_factor(tmp_path):
     mat = tmp_path / "m.txt"
     mat.write_text("3.0 0.0\n0.0 -1.0\n")
@@ -223,3 +263,24 @@ def test_matrix_market_estimate(tmp_path):
                  "--output", str(out)]) == 0
     q = DensityEstimate.from_json(out.read_text())
     assert q.integrate(-1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("on_par_from", [0, 1, None], ids=["first", "second", "never"])
+def test_budget_search_probes_below_the_cap_only(on_par_from, monkeypatch):
+    # a stub run scores 0 from the on-par budget on and 1 below it
+    graph, truth = generate_graph("clique-plus-matching", n=40)
+    budgets = [math.ceil(frac * graph.nnz) for frac in SEARCH_FRACTIONS]
+    probed = []
+
+    def run(graph, truth, degree, t, seed, disc_eps):
+        probed.append(t)
+        on_par = on_par_from is not None and t >= budgets[on_par_from]
+        return 0.0 if on_par else 1.0, 5, 7, None, None, None
+
+    monkeypatch.setattr(cli, "_approx_run", run)
+    spent = Counter()
+    chosen = cli._tune_samples(graph, truth, 8, 0.005, 0, 0.01, spent)
+    steps = len(SEARCH_FRACTIONS) - 1 if on_par_from is None else on_par_from + 1
+    assert chosen == budgets[-1 if on_par_from is None else on_par_from]
+    assert probed == [t for t in budgets[:steps] for _ in range(2)]
+    assert spent == {"calls": 7 * 2 * steps, "entries": 5 * 2 * steps}

@@ -22,7 +22,7 @@ from conftest import random_spectrum_matrix
 
 
 def _sweep_products_loop(oracle, g, degree):
-    """Reference: the probe sweep as an explicit loop."""
+    """Reference: the plain probe sweep as an explicit loop, N oracle calls."""
     products = np.empty(degree)
     v_prev = g
     v_cur = oracle.apply(g)
@@ -33,22 +33,47 @@ def _sweep_products_loop(oracle, g, degree):
     return products
 
 
+def _doubled_products_loop(step, v_0, v_1, degree, inner):
+    """Reference: <v_0, v_k> for k = 1..N from v_0..v_{N/2} as an explicit loop,
+    through T_2j = 2 T_j^2 - T_0 and T_2j+1 = 2 T_j+1 T_j - T_1."""
+    products = np.empty(degree)
+    base = inner(v_0, v_0)
+    products[0] = inner(v_0, v_1)
+    v_prev, v_cur = v_0, v_1
+    for j in range(1, degree // 2 + 1):
+        if j > 1:
+            v_prev, v_cur = v_cur, 2.0 * step(v_cur) - v_prev
+            products[2 * j - 2] = 2.0 * inner(v_cur, v_prev) - products[0]
+        products[2 * j - 1] = 2.0 * inner(v_cur, v_cur) - base
+    return products
+
+
 def _exact_moments_loop(oracle, degree, max_block_elements):
-    """Reference: the blocked basis sweep as an explicit loop."""
+    """Reference: the blocked, doubled basis sweep as an explicit loop."""
     n = oracle.dimension
     block = max(1, min(n, max_block_elements // n))
     values = np.zeros(degree)
     for start in range(0, n, block):
         cols = np.arange(start, min(start + block, n))
-        v_prev = np.zeros((n, cols.size))
-        v_prev[cols, np.arange(cols.size)] = 1.0
-        v_cur = oracle.apply_block(v_prev)
-        values[0] += v_cur[cols, np.arange(cols.size)].sum()
-        for k in range(2, degree + 1):
-            v_prev, v_cur = v_cur, 2.0 * oracle.apply_block(v_cur) - v_prev
-            values[k - 1] += v_cur[cols, np.arange(cols.size)].sum()
+        basis = np.zeros((n, cols.size))
+        basis[cols, np.arange(cols.size)] = 1.0
+        values += _doubled_products_loop(oracle.apply_block, basis,
+                                         oracle.apply_block(basis), degree,
+                                         lambda a, b: np.sum(a * b))
     values *= NORM_K / n
     return values
+
+
+def _plain_exact_moments_loop(oracle, degree):
+    """Reference: the plain basis sweep, one diagonal sum per degree."""
+    n = oracle.dimension
+    v_prev = np.eye(n)
+    v_cur = oracle.apply_block(v_prev)
+    values = [np.trace(v_cur)]
+    for _ in range(2, degree + 1):
+        v_prev, v_cur = v_cur, 2.0 * oracle.apply_block(v_cur) - v_prev
+        values.append(np.trace(v_cur))
+    return NORM_K / n * np.array(values)
 
 
 def _moments_from_spectrum_loop(lam, degree):
@@ -102,10 +127,11 @@ class TestExactMoments:
         assert mv.values[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_costs_n_times_degree_calls(self):
+        # an exact oracle doubles: n*N/2 block columns give all N moments
         matrix, _ = random_spectrum_matrix(7, seed=3)
         oracle = exact_oracle(matrix)
         exact_moments(oracle, 12)
-        assert oracle.calls == 7 * 12
+        assert oracle.calls == 7 * 12 // 2
 
     def test_matches_spectrum_path(self):
         matrix, lam = random_spectrum_matrix(24, seed=9)
@@ -153,10 +179,11 @@ class TestHutchinson:
         np.testing.assert_allclose(estimate, exact.values, atol=1e-12)
 
     def test_budget_is_degree_times_ell(self):
+        # an exact oracle doubles: N/2 calls per probe give all N moments
         matrix, _ = random_spectrum_matrix(10, seed=4)
         oracle = exact_oracle(matrix)
         hutchinson_moments(oracle, 16, ell=3, seed=0)
-        assert oracle.calls == 16 * 3
+        assert oracle.calls == 16 * 3 // 2
 
     def test_deterministic(self):
         matrix, _ = random_spectrum_matrix(15, seed=8)
@@ -269,12 +296,29 @@ class TestAgainstHandLoops:
     def test_probe_sweeps(self, degree):
         matrix, _ = random_spectrum_matrix(16, seed=degree)
         g = rademacher(16, seed=degree)
-        for make in (lambda: exact_oracle(matrix),
-                     lambda: noisy_oracle(matrix, 1e-3, "random-direction", seed=5)):
-            kernel, loop = make(), make()
-            np.testing.assert_array_equal(_sweep_products(kernel, g, degree),
-                                          _sweep_products_loop(loop, g, degree))
-            assert kernel.calls == loop.calls == degree
+        kernel, loop = exact_oracle(matrix), exact_oracle(matrix)
+        np.testing.assert_array_equal(
+            _sweep_products(kernel, g, degree),
+            _doubled_products_loop(loop.apply, g, loop.apply(g), degree, np.dot))
+        assert kernel.calls == loop.calls == degree // 2
+        kernel, loop = (noisy_oracle(matrix, 1e-3, "random-direction", seed=5)
+                        for _ in range(2))
+        np.testing.assert_array_equal(_sweep_products(kernel, g, degree),
+                                      _sweep_products_loop(loop, g, degree))
+        assert kernel.calls == loop.calls == degree
+
+    @pytest.mark.parametrize("degree", [4, 80, 360])
+    def test_doubling_matches_plain_recurrence(self, degree):
+        # the identities are exact; what is left is rounding, well below 1e-12
+        matrix, _ = random_spectrum_matrix(16, seed=degree)
+        g = rademacher(16, seed=degree)
+        doubled = _sweep_products(exact_oracle(matrix), g, degree)
+        plain = _sweep_products_loop(exact_oracle(matrix), g, degree)
+        np.testing.assert_allclose(doubled / 16, plain / 16, rtol=0, atol=1e-12)
+        oracle = exact_oracle(matrix)
+        np.testing.assert_allclose(exact_moments(oracle, degree).values,
+                                   _plain_exact_moments_loop(oracle, degree),
+                                   rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("degree", [4, 80, 360])
     def test_exact_moments_over_two_blocks(self, degree):
@@ -283,7 +327,7 @@ class TestAgainstHandLoops:
         np.testing.assert_array_equal(
             exact_moments(oracle, degree, max_block_elements=15 * 8).values,
             _exact_moments_loop(exact_oracle(matrix), degree, 15 * 8))
-        assert oracle.calls == 15 * degree
+        assert oracle.calls == 15 * degree // 2
 
     @pytest.mark.parametrize("degree", [4, 80, 360])
     def test_moments_from_spectrum(self, degree):
