@@ -32,14 +32,14 @@ class DomainError(ValueError):
     """Argument outside [-1, 1] beyond the clamping tolerance, or a bad interval."""
 
 
-def _clamp(x, tol: float = DOMAIN_TOL):
-    """Clamp values within ``tol`` of [-1, 1] back onto the interval.
+def _clamp(x):
+    """Clamp values within DOMAIN_TOL of [-1, 1] back onto the interval.
 
     Larger violations raise :class:`DomainError`; tiny ones are treated as
     floating-point drift from upstream normalization.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < -1.0 - tol) or np.any(arr > 1.0 + tol):
+    if np.any(arr < -1.0 - DOMAIN_TOL) or np.any(arr > 1.0 + DOMAIN_TOL):
         raise DomainError(f"argument outside [-1, 1]: {x!r}")
     clipped = np.clip(arr, -1.0, 1.0)
     if np.isscalar(x) or arr.ndim == 0:

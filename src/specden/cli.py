@@ -18,7 +18,7 @@ import math
 import sys
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from statistics import median
 
@@ -83,7 +83,6 @@ class RunManifest:
     timing_seconds: float = 0.0
     oracle_calls: int = 0
     entries_touched: int = 0
-    extra: dict = field(default_factory=dict)
 
     def write(self, path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n")
@@ -141,7 +140,7 @@ def _load_truth_spectrum(path_str: str) -> DiscreteSpectrum:
     try:
         if text.lstrip().startswith("{"):
             return DiscreteSpectrum.from_json(text)
-        return DiscreteSpectrum(np.loadtxt(path, dtype=float, ndmin=1))
+        return DiscreteSpectrum.load_text(path)
     except Exception as exc:
         raise InputError(f"failed to parse spectrum {path}: {exc}") from exc
 
@@ -163,7 +162,7 @@ def _resolve_degree(args) -> int:
 
 def _resolve_ell(args) -> int:
     if args.ell == "auto":
-        return 0  # resolved later from the config formula
+        return 0  # resolved in _compute_moments by moments.default_ell
     try:
         ell = int(args.ell)
     except ValueError:
@@ -224,8 +223,7 @@ def _compute_moments(args, kind: str, loaded) -> tuple[MomentVector, dict]:
             raise ConfigError("method graph-amv needs a graph input, not a matrix")
         eps_mv = args.eps_mv if args.eps_mv is not None else 1.0 / (4.0 * degree**4)
         info["eps_mv"] = eps_mv
-        tuned = args.samples_per_matvec is not None
-        if not tuned:
+        if args.samples_per_matvec is None:
             budget = math.ceil(48.0 * n / eps_mv**2)
             if budget > 10**8:
                 raise ConfigError(
@@ -233,7 +231,6 @@ def _compute_moments(args, kind: str, loaded) -> tuple[MomentVector, dict]:
                     "pass --samples-per-matvec (tuned) or a larger --eps-mv")
         try:
             oracle = boosted_graph_oracle(loaded, eps_mv, args.delta,
-                                          repetitions=1 if tuned else None,
                                           samples=args.samples_per_matvec,
                                           seed=args.seed)
         except ValueError as exc:
@@ -354,8 +351,6 @@ def cmd_discretize(args) -> int:
 
 
 def cmd_graph_gen(args) -> int:
-    if args.kind == "from-file":
-        raise ConfigError("graph-gen generates synthetic kinds; from-file is for estimate")
     if args.kind == "hypercube":
         if args.bits is None:
             raise ConfigError("hypercube needs --bits")
@@ -386,6 +381,7 @@ TABLE1_GRAPHS = (
     ("hypercube", "hypercube", {"bits": 14}, 80),
 )
 TABLE1_ELL = 2
+HISTOGRAM_BINS = 11
 SEARCH_FRACTIONS = (1 / 16, 1 / 8, 1 / 4, 1 / 2, 0.92)
 
 
@@ -394,8 +390,7 @@ def _approx_run(graph, truth, degree, t, seed, disc_eps):
 
     Returns (w1, entries_touched, oracle_calls, density, moments, recovered).
     """
-    oracle = boosted_graph_oracle(graph, eps_mv=0.5, delta=0.49, repetitions=1,
-                                  samples=t, seed=seed)
+    oracle = boosted_graph_oracle(graph, eps_mv=0.5, delta=0.49, samples=t, seed=seed)
     moments = approx_hutchinson_moments(oracle, degree, TABLE1_ELL, seed)
     density = full_kpm(moments, jackson_coefficients(degree))
     recovered = discretize_greedy(density, truth.n, disc_eps)
@@ -543,10 +538,9 @@ def cmd_experiment_table1(args) -> int:
     return 0
 
 
-def _write_histogram_csv(path, truth: DiscreteSpectrum, recovered: dict,
-                         bins: int = 11) -> None:
-    """Eigenvalue histograms over `bins` equal cells of [-1, 1], as mass fractions."""
-    edges = np.linspace(-1.0, 1.0, bins + 1)
+def _write_histogram_csv(path, truth: DiscreteSpectrum, recovered: dict) -> None:
+    """Eigenvalue histograms over HISTOGRAM_BINS equal cells of [-1, 1], as mass fractions."""
+    edges = np.linspace(-1.0, 1.0, HISTOGRAM_BINS + 1)
     columns = {"true": truth, **recovered}
     masses = {}
     for name, spectrum in columns.items():
@@ -554,7 +548,7 @@ def _write_histogram_csv(path, truth: DiscreteSpectrum, recovered: dict,
         masses[name] = hist / spectrum.n
     with open(path, "w") as fh:
         fh.write("bin_lo,bin_hi," + ",".join(masses) + "\n")
-        for b in range(bins):
+        for b in range(HISTOGRAM_BINS):
             row = ",".join(repr(float(masses[name][b])) for name in masses)
             fh.write(f"{float(edges[b])!r},{float(edges[b + 1])!r},{row}\n")
 

@@ -123,40 +123,39 @@ def full_kpm(moments: MomentVector, coeffs: JacksonCoefficients) -> DensityEstim
     )
 
 
-def check_density(q: DensityEstimate, grid_points: int = 10_000,
-                  negativity_tol: float = -1e-10, a0_tol: float = 1e-12) -> None:
-    """Assert the two density invariants: a_0 = 1/sqrt(pi) and grid non-negativity.
+def check_density(q: DensityEstimate) -> None:
+    """Assert the two density invariants: a_0 = 1/sqrt(pi) to 1e-12, and
+    q >= -1e-10 on 10,000 interior grid points.
 
     Both hold analytically for the constructions above, so a violation points
     at an implementation bug rather than method failure.
     """
     a0 = q.series.coefficients[0]
-    if abs(a0 - NORM_0) > a0_tol:
+    if abs(a0 - NORM_0) > 1e-12:
         raise AssertionError(f"a_0 = {a0!r} differs from 1/sqrt(pi) by {abs(a0 - NORM_0):.3g}")
-    grid = np.linspace(-1.0, 1.0, grid_points + 2)[1:-1]
+    grid = np.linspace(-1.0, 1.0, 10_002)[1:-1]
     vals = q.evaluate(grid)
     worst = float(vals.min())
-    if worst < negativity_tol:
+    if worst < -1e-10:
         raise AssertionError(f"density dips to {worst:.3g} on the interior grid")
 
 
-def export_plot_data(q: DensityEstimate, grid_points: int = 512,
-                     margin: float = 1e-4) -> tuple[np.ndarray, np.ndarray]:
-    """(x, q(x)) on a Chebyshev-spaced grid pulled ``margin`` away from +-1.
+def export_plot_data(q: DensityEstimate,
+                     grid_points: int = 512) -> tuple[np.ndarray, np.ndarray]:
+    """(x, q(x)) on a Chebyshev-spaced grid scaled by 1 - 1e-4 inside (-1, 1).
 
     Chebyshev spacing concentrates samples near the endpoints where the weight
-    varies fastest; the margin keeps the printed values finite.
+    varies fastest; the 1e-4 margin keeps the printed values finite.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     theta = np.pi * (np.arange(grid_points) + 0.5) / grid_points
-    xs = np.sort(np.cos(theta) * (1.0 - margin))
+    xs = np.sort(np.cos(theta) * (1.0 - 1e-4))
     return xs, q.evaluate(xs)
 
 
-def write_plot_csv(path, q: DensityEstimate, grid_points: int = 512,
-                   margin: float = 1e-4) -> None:
-    xs, ys = export_plot_data(q, grid_points, margin)
+def write_plot_csv(path, q: DensityEstimate, grid_points: int = 512) -> None:
+    xs, ys = export_plot_data(q, grid_points)
     with open(path, "w") as fh:
         fh.write("x,q\n")
         for x, y in zip(xs, ys):

@@ -35,7 +35,7 @@ from .spectrum import DiscreteSpectrum
 
 logger = logging.getLogger(__name__)
 
-GRAPH_KINDS = ("clique-plus-matching", "hairy-clique", "hypercube", "from-file")
+GRAPH_KINDS = ("clique-plus-matching", "hairy-clique", "hypercube")
 #: c in the boosted oracle's r = ceil(c log(1/delta)) repetitions per call
 BOOST_CONSTANT = 8.0
 
@@ -111,8 +111,7 @@ class GraphAccess:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
 
-def _edges_to_graph(us: np.ndarray, vs: np.ndarray, n: int,
-                    dedupe: bool = True) -> GraphAccess:
+def _edges_to_graph(us: np.ndarray, vs: np.ndarray, n: int) -> GraphAccess:
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
     if us.size == 0:
@@ -123,9 +122,8 @@ def _edges_to_graph(us: np.ndarray, vs: np.ndarray, n: int,
         raise ValueError("edge endpoint outside [0, n)")
     lo = np.minimum(us, vs)
     hi = np.maximum(us, vs)
-    if dedupe:
-        keys = np.unique(lo * np.int64(n) + hi)
-        lo, hi = keys // n, keys % n
+    keys = np.unique(lo * np.int64(n) + hi)
+    lo, hi = keys // n, keys % n
     rows = np.concatenate([lo, hi])
     cols = np.concatenate([hi, lo])
     adj = scipy.sparse.csr_matrix(
@@ -142,7 +140,7 @@ def _edges_to_graph(us: np.ndarray, vs: np.ndarray, n: int,
 
 def exact_graph_oracle(graph: GraphAccess) -> MatvecOracle:
     """Exact oracle for ``Abar``: z_i = sum_{j in N(i)} y_j / sqrt(d_i d_j)."""
-    return exact_oracle(SymmetricMatrix(graph.norm_adjacency, norm_bound=1.0))
+    return exact_oracle(SymmetricMatrix(graph.norm_adjacency))
 
 
 @dataclass
@@ -151,19 +149,17 @@ class SampledMatvecReport:
 
     ``entries_touched`` is the sampling loop's cost: the d_i entries of column
     i read once per accepted iteration, ``sum_i counts_i d_i``.
-    ``accepted_counts`` (per-vertex acceptance tallies) is populated only on
-    request; distribution tests use it to check the acceptance probabilities.
+    ``accepted_counts`` holds those per-vertex acceptance tallies.
     """
 
     output: np.ndarray
     entries_touched: int
     samples: int
     accepted: int
-    accepted_counts: Optional[np.ndarray] = None
+    accepted_counts: np.ndarray
 
 
-def sampled_matvec(graph: GraphAccess, y: np.ndarray, t: int, seed,
-                   track_counts: bool = False) -> SampledMatvecReport:
+def sampled_matvec(graph: GraphAccess, y: np.ndarray, t: int, seed) -> SampledMatvecReport:
     """Accept/reject column-sampled estimate of ``Abar y`` with budget t.
 
     Each iteration of the sampling loop samples a vertex, then a
@@ -210,12 +206,11 @@ def sampled_matvec(graph: GraphAccess, y: np.ndarray, t: int, seed,
         entries_touched=int(np.dot(counts, graph.degrees)),
         samples=t,
         accepted=accepted,
-        accepted_counts=counts if track_counts else None,
+        accepted_counts=counts,
     )
 
 
 def boosted_graph_oracle(graph: GraphAccess, eps_mv: float, delta: float,
-                         repetitions: Optional[int] = None,
                          samples: Optional[int] = None,
                          seed=0) -> MatvecOracle:
     """Median-style boosting of the sampled matvec into an oracle contract.
@@ -228,30 +223,26 @@ def boosted_graph_oracle(graph: GraphAccess, eps_mv: float, delta: float,
     candidate reaches a majority (probability <= delta) the most-agreeing one
     is returned and the call is flagged in ``stats``.
 
-    ``repetitions``/``samples`` override the schedule; repetitions=1
-    degenerates to a single sampler call, the practical configuration when t
-    is tuned empirically instead of set by the worst-case formula.
+    A given ``samples`` replaces that schedule with one sampler run of budget
+    t = samples per call and no vote, the practical configuration when t is
+    tuned empirically instead of set by the worst-case formula.
     """
     if not 0.0 < eps_mv < 1.0:
         raise ValueError("eps_mv must be in (0, 1)")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    if repetitions is not None and repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    if samples is not None and samples < 1:
+    if samples is None:
+        r = max(1, math.ceil(BOOST_CONSTANT * math.log(1.0 / delta)))
+        t = math.ceil(48.0 * graph.n / eps_mv**2)
+    elif samples < 1:
         raise ValueError("samples must be >= 1")
-    r = repetitions if repetitions is not None else max(
-        1, math.ceil(BOOST_CONSTANT * math.log(1.0 / delta)))
-    t = samples if samples is not None else math.ceil(48.0 * graph.n / eps_mv**2)
+    else:
+        r, t = 1, samples
     stats = {"entries_touched": 0, "samples_budget": t, "repetitions": r,
              "flagged_calls": 0}
     lock = threading.Lock()
-    counter = {"i": 0}
 
-    def apply_fn(y):
-        with lock:
-            idx = counter["i"]
-            counter["i"] += 1
+    def apply_fn(y, idx):
         reports = [sampled_matvec(graph, y, t, seed=(seed, idx, rep))
                    for rep in range(r)]
         with lock:
@@ -338,9 +329,9 @@ def _hypercube(bits: int):
     return us[keep], vs[keep], spectrum
 
 
-def generate_graph(kind: str, n: Optional[int] = None, bits: Optional[int] = None,
-                   path=None) -> tuple[GraphAccess, Optional[DiscreteSpectrum]]:
-    """Build a named test graph together with its exact spectrum when known."""
+def generate_graph(kind: str, n: Optional[int] = None,
+                   bits: Optional[int] = None) -> tuple[GraphAccess, DiscreteSpectrum]:
+    """Build a named test graph together with its exact spectrum."""
     if kind == "clique-plus-matching":
         us, vs, spec = _clique_plus_matching(int(n))
         return _edges_to_graph(us, vs, int(n)), DiscreteSpectrum(spec)
@@ -350,8 +341,6 @@ def generate_graph(kind: str, n: Optional[int] = None, bits: Optional[int] = Non
     if kind == "hypercube":
         us, vs, spec = _hypercube(int(bits))
         return _edges_to_graph(us, vs, 1 << int(bits)), DiscreteSpectrum(spec)
-    if kind == "from-file":
-        return load_graph(path), None
     raise ValueError(f"unknown graph kind {kind!r}; expected one of {GRAPH_KINDS}")
 
 

@@ -30,19 +30,18 @@ class SymmetricMatrix:
     """
 
     operand: np.ndarray | scipy.sparse.csr_matrix
-    norm_bound: Optional[float] = None  # declared bound on the spectral norm
 
     @classmethod
-    def from_dense(cls, arr, norm_bound=None) -> "SymmetricMatrix":
+    def from_dense(cls, arr) -> "SymmetricMatrix":
         arr = np.asarray(arr, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"need a square matrix, got shape {arr.shape}")
         lower = np.tril(arr)
         sym = lower + np.tril(arr, -1).T
-        return cls(sym, norm_bound=norm_bound)
+        return cls(sym)
 
     @classmethod
-    def from_coo(cls, rows, cols, vals, n, norm_bound=None) -> "SymmetricMatrix":
+    def from_coo(cls, rows, cols, vals, n) -> "SymmetricMatrix":
         """Build from coordinate data; only the lower triangle of the input is used."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -55,7 +54,7 @@ class SymmetricMatrix:
         vv = np.concatenate([v, v[off]])
         mat = scipy.sparse.csr_matrix((vv, (rr, cc)), shape=(n, n))
         mat.sum_duplicates()
-        return cls(mat, norm_bound=norm_bound)
+        return cls(mat)
 
     @property
     def dimension(self) -> int:
@@ -73,7 +72,7 @@ class SymmetricMatrix:
         return self.operand
 
     def scaled(self, factor: float) -> "SymmetricMatrix":
-        return SymmetricMatrix(self.operand * factor, norm_bound=1.0)
+        return SymmetricMatrix(self.operand * factor)
 
 
 @dataclass
@@ -84,10 +83,12 @@ class MatvecOracle:
     per-call accuracy (0 for exact oracles, a worst-case radius for the noisy
     wrapper, an RMS level for sampled graph oracles). The call counter is
     thread-safe so budget accounting stays exact under concurrent use.
+    ``apply_fn(y, index)`` receives the call's 0-based index, taken from that
+    counter at call arrival; randomized oracles seed each call from it.
     """
 
     dimension: int
-    apply_fn: Callable[[np.ndarray], np.ndarray]
+    apply_fn: Callable[[np.ndarray, int], np.ndarray]
     error_bound: float = 0.0
     matrix: Optional[SymmetricMatrix] = None  # set when A is materialized
     calls: int = 0
@@ -96,8 +97,9 @@ class MatvecOracle:
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         with self._lock:
+            index = self.calls
             self.calls += 1
-        return self.apply_fn(y)
+        return self.apply_fn(y, index)
 
     def apply_block(self, block: np.ndarray) -> np.ndarray:
         """Apply to each column of ``block``; counts one call per column.
@@ -116,7 +118,7 @@ class MatvecOracle:
 def exact_oracle(matrix: SymmetricMatrix) -> MatvecOracle:
     return MatvecOracle(
         dimension=matrix.dimension,
-        apply_fn=matrix.matvec,
+        apply_fn=lambda y, _index: matrix.matvec(y),
         error_bound=0.0,
         matrix=matrix,
     )
@@ -171,14 +173,9 @@ def noisy_oracle(matrix: SymmetricMatrix, eps_mv: float, mode: str, seed) -> Mat
         raise ValueError(f"eps_mv must be in [0, 1), got {eps_mv}")
     if mode not in NOISE_MODES:
         raise ValueError(f"unknown noise mode {mode!r}; expected one of {NOISE_MODES}")
-    counter = {"i": 0}
-    lock = threading.Lock()
 
-    def apply_fn(y):
-        with lock:
-            idx = counter["i"]
-            counter["i"] += 1
-        return noisy_apply(matrix, y, eps_mv, mode, (seed, idx))
+    def apply_fn(y, index):
+        return noisy_apply(matrix, y, eps_mv, mode, (seed, index))
 
     return MatvecOracle(
         dimension=matrix.dimension,
@@ -210,18 +207,19 @@ def estimate_spectral_norm(matrix: SymmetricMatrix, iterations: int = 50, seed=0
     return estimate
 
 
-def scale_to_unit_norm(matrix: SymmetricMatrix, margin: float = 0.05,
-                       iterations: int = 100, seed=0) -> tuple[SymmetricMatrix, float]:
+def scale_to_unit_norm(matrix: SymmetricMatrix, seed=0) -> tuple[SymmetricMatrix, float]:
     """Rescale so the declared spectral norm bound 1 holds with a safety margin.
+
+    The factor is ``1 / (1.05 nu)``, nu the 100-iteration power estimate.
 
     Returns (scaled matrix, applied factor). A zero matrix is returned
     unchanged with factor 1. Never applied silently: callers surface the
     factor in their run records.
     """
-    nu = estimate_spectral_norm(matrix, iterations=iterations, seed=seed)
+    nu = estimate_spectral_norm(matrix, iterations=100, seed=seed)
     if nu == 0.0:
         return matrix, 1.0
-    factor = 1.0 / (nu * (1.0 + margin))
+    factor = 1.0 / (nu * 1.05)
     return matrix.scaled(factor), factor
 
 

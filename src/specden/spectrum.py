@@ -21,6 +21,10 @@ logger = logging.getLogger(__name__)
 
 DENSE_SIZE_LIMIT = 4096
 BOUND_TOL = 1e-9
+#: discretize_optimal's bisection stops once every slab boundary's CDF is
+#: within MASS_TOL of its target, and fails after BISECTION_STEPS halvings
+MASS_TOL = 1e-10
+BISECTION_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -58,15 +62,18 @@ class DiscreteSpectrum:
         return cls(np.loadtxt(path, dtype=float, ndmin=1))
 
     def to_json(self) -> str:
-        return json.dumps({"n": self.n, "values": self.values.tolist()})
+        return json.dumps({"n": self.n, "values": self.values.tolist(),
+                           "support": list(self.support)})
 
     @classmethod
     def from_json(cls, text: str) -> "DiscreteSpectrum":
+        """Inverse of ``to_json``; a missing ``support`` means [-1, 1]."""
         obj = json.loads(text)
         vals = np.asarray(obj["values"], dtype=float)
         if vals.size != obj["n"]:
             raise ValueError("value count does not match declared n")
-        return cls(vals)
+        lo, hi = obj.get("support", (-1.0, 1.0))
+        return cls(vals, support=(float(lo), float(hi)))
 
 
 def w1_discrete(left: DiscreteSpectrum, right: DiscreteSpectrum) -> float:
@@ -118,8 +125,7 @@ def discretize_greedy(q, n: int, eps: float) -> DiscreteSpectrum:
     return DiscreteSpectrum(np.repeat(edges[1:], np.diff(floors, prepend=0)))
 
 
-def discretize_optimal(q, n: int, mass_tol: float = 1e-10,
-                       max_bisection_steps: int = 200) -> DiscreteSpectrum:
+def discretize_optimal(q, n: int) -> DiscreteSpectrum:
     """Quantile-slab conditional means: the W1-optimal n-point discretization.
 
     Each slab [t, t'] holds mass 1/n; all interior slab boundaries are found
@@ -138,9 +144,9 @@ def discretize_optimal(q, n: int, mass_tol: float = 1e-10,
         lo = np.full(n - 1, -1.0)
         hi = np.full(n - 1, 1.0)
         mid = 0.5 * (lo + hi)
-        for _ in range(max_bisection_steps):
+        for _ in range(BISECTION_STEPS):
             err = np.asarray(q.cdf(mid)) - targets
-            if np.all(np.abs(err) <= mass_tol):
+            if np.all(np.abs(err) <= MASS_TOL):
                 break
             below = err < 0
             lo = np.where(below, mid, lo)
@@ -149,7 +155,7 @@ def discretize_optimal(q, n: int, mass_tol: float = 1e-10,
         else:
             worst = int(np.argmax(np.abs(np.asarray(q.cdf(mid)) - targets)))
             raise RuntimeError(
-                f"slab boundary search did not converge after {max_bisection_steps} "
+                f"slab boundary search did not converge after {BISECTION_STEPS} "
                 f"steps: boundary {worst + 1} of {n - 1}, bracket "
                 f"[{lo[worst]}, {hi[worst]}], target mass {targets[worst]:.12g}")
         bounds = np.concatenate([[-1.0], np.maximum.accumulate(mid), [1.0]])

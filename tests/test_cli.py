@@ -130,6 +130,23 @@ def test_discretize_command(small_graph, tmp_path):
     assert DiscreteSpectrum.from_json(jpath.read_text()).n == 10
 
 
+def test_eval_csv_report_matches_json(small_graph, tmp_path):
+    gpath, tpath, _ = small_graph
+    dpath = tmp_path / "d.json"
+    main(["estimate", str(gpath), "--method", "exact", "--degree", "16",
+          "--output", str(dpath)])
+    flags = ["eval", "--density", str(dpath), "--truth", str(tpath), "--disc-eps", "0.05"]
+    assert main(flags + ["--output", str(tmp_path / "report.json")]) == 0
+    assert main(flags + ["--output", str(tmp_path / "report.csv")]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    header, *rows = (tmp_path / "report.csv").read_text().splitlines()
+    assert header == "metric,value"
+    values = dict(row.split(",") for row in rows)
+    assert values.keys() == {"w1_density_vs_truth", "w1_discretized_vs_truth"}
+    for metric, value in values.items():
+        assert float(value) == report[metric]
+
+
 class TestExitCodes:
     def test_missing_input_is_2(self, tmp_path):
         assert main(["estimate", str(tmp_path / "nope.txt"), "--degree", "8",
@@ -206,6 +223,11 @@ class TestExitCodes:
         assert main([arg.format(**paths) for arg in argv] + ["--output", str(out)]) == 3
         assert not out.exists()
         assert "config error" in capsys.readouterr().err
+
+    def test_graph_gen_unknown_kind_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["graph-gen", "--kind", "from-file", "--output", str(tmp_path / "g.txt")])
+        assert exc.value.code == 2
 
     def test_hypercube_zero_bits_is_3(self, tmp_path):
         assert main(["graph-gen", "--kind", "hypercube", "--bits", "0",

@@ -145,7 +145,7 @@ class TestSerialization:
 class TestPlotData:
     def test_grid_stays_inside_margin(self):
         q = _delta_density(0.0, 16)
-        xs, ys = export_plot_data(q, grid_points=128, margin=1e-4)
+        xs, ys = export_plot_data(q, grid_points=128)
         assert xs.min() >= -1.0 + 0.9e-4 and xs.max() <= 1.0 - 0.9e-4
         assert np.all(np.diff(xs) > 0)
         assert np.all(np.isfinite(ys))

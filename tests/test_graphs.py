@@ -179,7 +179,7 @@ class TestSampledMatvec:
     def test_path3_acceptance_frequencies(self):
         g = path3()
         y = np.array([0.3, -0.2, 0.9])
-        rep = sampled_matvec(g, y, t=200_000, seed=9, track_counts=True)
+        rep = sampled_matvec(g, y, t=200_000, seed=9)
         freq = rep.accepted_counts / rep.samples
         expected = np.array([1 / 6, 1 / 3, 1 / 6])  # p_i per iteration
         np.testing.assert_allclose(freq, expected, atol=5e-3)
@@ -202,7 +202,7 @@ class TestSampledMatvec:
     def test_entries_accounting(self):
         g = star(8)
         y = np.ones(9)
-        rep = sampled_matvec(g, y, t=5000, seed=1, track_counts=True)
+        rep = sampled_matvec(g, y, t=5000, seed=1)
         assert rep.entries_touched == int(np.dot(rep.accepted_counts, g.degrees))
         assert rep.accepted == int(rep.accepted_counts.sum())
 
@@ -229,7 +229,7 @@ class TestSampledMatvec:
     def test_acceptance_chi_square_star8(self):
         g = star(8)
         t = 100_000
-        rep = sampled_matvec(g, np.ones(9), t=t, seed=23, track_counts=True)
+        rep = sampled_matvec(g, np.ones(9), t=t, seed=23)
         p = np.array([
             sum(1.0 / g.degrees[j] for j in g.neighbors(i)) / (g.n * g.degrees[i])
             for i in range(g.n)
@@ -246,7 +246,7 @@ class TestSampledMatvec:
         t = math.ceil(0.92 * g.nnz)
         observed = np.zeros(g.n, dtype=np.int64)
         for seed in range(200):
-            rep = sampled_matvec(g, np.ones(g.n), t=t, seed=(31, seed), track_counts=True)
+            rep = sampled_matvec(g, np.ones(g.n), t=t, seed=(31, seed))
             assert rep.accepted < g.n
             observed += rep.accepted_counts
         p = g.column_probabilities
@@ -291,8 +291,7 @@ class TestSampledMatvec:
 class TestBoostedOracle:
     def test_single_repetition_degenerates(self):
         g = k2()
-        oracle = boosted_graph_oracle(g, eps_mv=0.5, delta=0.49, repetitions=1,
-                                      samples=64, seed=3)
+        oracle = boosted_graph_oracle(g, eps_mv=0.5, delta=0.49, samples=64, seed=3)
         y = np.array([1.0, 0.5])
         out = oracle.apply(y)
         direct = sampled_matvec(g, y, t=64, seed=(3, 0, 0)).output
@@ -336,9 +335,9 @@ class TestBoostedOracle:
         for eps, delta in ((0.0, 0.1), (1.0, 0.1), (0.5, 0.0), (0.5, 1.0)):
             with pytest.raises(ValueError):
                 boosted_graph_oracle(g, eps_mv=eps, delta=delta)
-        for schedule in ({"samples": 0}, {"repetitions": 0}, {"samples": -1}):
+        for samples in (0, -1):
             with pytest.raises(ValueError):
-                boosted_graph_oracle(g, eps_mv=0.5, delta=0.1, **schedule)
+                boosted_graph_oracle(g, eps_mv=0.5, delta=0.1, samples=samples)
 
 
 class TestLaplacianReflect:
@@ -352,6 +351,12 @@ class TestLaplacianReflect:
         s = DiscreteSpectrum(np.array([-0.5, 0.25]))
         reflected = laplacian_reflect(s, remap=True)
         np.testing.assert_array_equal(reflected.values, [-0.25, 0.5])
+
+    def test_reflected_spectrum_json_round_trip(self):
+        reflected = laplacian_reflect(DiscreteSpectrum(np.array([-1.0, 0.0, 1.0])))
+        back = DiscreteSpectrum.from_json(reflected.to_json())
+        np.testing.assert_array_equal(back.values, [0.0, 1.0, 2.0])
+        assert back.support == (0.0, 2.0)
 
     def test_involution(self):
         mv = moments_from_spectrum(np.linspace(-0.8, 0.9, 7), 12)

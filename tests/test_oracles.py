@@ -109,7 +109,7 @@ class TestSpectralNorm:
 
     def test_scaling_helper(self):
         m = SymmetricMatrix.from_dense(np.diag([4.0, -2.0, 1.0]))
-        scaled, factor = scale_to_unit_norm(m, margin=0.05, seed=0)
+        scaled, factor = scale_to_unit_norm(m, seed=0)
         assert factor == pytest.approx(1.0 / (4.0 * 1.05), rel=1e-6)
         assert estimate_spectral_norm(scaled, iterations=60, seed=1) <= 1.0
 
@@ -138,22 +138,38 @@ class TestCallCounting:
         np.testing.assert_allclose(out, m.to_dense(), atol=1e-14)
 
     def test_counter_safe_under_threads(self):
+        import sys
         import threading
 
         m, _ = random_spectrum_matrix(8, seed=2)
         oracle = exact_oracle(m)
+        inner = oracle.apply_fn
+        seen = []  # the call index each apply_fn received
+
+        def recording(y, index):
+            seen.append(index)
+            return inner(y, index)
+
+        oracle.apply_fn = recording
         y = np.ones(8)
 
         def worker():
-            for _ in range(50):
+            for _ in range(2000):
                 oracle.apply(y)
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert oracle.calls == 400
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert oracle.calls == 16000
+        assert sorted(seen) == list(range(16000))
 
 
 class TestLoaders:

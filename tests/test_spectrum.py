@@ -200,6 +200,8 @@ class TestDiscreteSpectrum:
     def test_json_round_trip(self):
         s = DiscreteSpectrum(np.array([-0.25, 0.5]))
         np.testing.assert_array_equal(DiscreteSpectrum.from_json(s.to_json()).values, s.values)
+        legacy = DiscreteSpectrum.from_json('{"n": 2, "values": [-0.25, 0.5]}')
+        assert legacy.support == (-1.0, 1.0)
 
 
 class TestW1Discrete:
@@ -316,6 +318,12 @@ class TestOptimalDiscretization:
         d_fine = w1_density_vs_spectrum(q, discretize_optimal(q, 1000))
         assert d_fine < d_coarse
         assert d_fine <= 2e-3
+
+    def test_unconverged_search_names_boundary_and_target(self, monkeypatch):
+        monkeypatch.setattr("specden.spectrum.BISECTION_STEPS", 1)
+        with pytest.raises(RuntimeError,
+                           match=r"after 1 steps: boundary 2 of 3, .* target mass 0\.5$"):
+            discretize_optimal(UniformDensity(), 4)
 
 
 class TestAgainstPerSlabReferences:
