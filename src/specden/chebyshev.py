@@ -215,11 +215,14 @@ def series_weighted_integral(series: ChebyshevSeries, a, b):
 
 
 def series_weighted_cdf(series: ChebyshevSeries, x) -> np.ndarray:
-    """Vectorized ``F(x) = integral_{-1}^x w * series`` at the points ``x``."""
+    """Vectorized ``F(x) = integral_{-1}^x w * series`` at the points ``x``.
+
+    The antiderivative's value at -1 is ``weights[0] * arcsin(-1)`` in closed
+    form: the ``sqrt((1 - x)(1 + x))`` factor zeroes every k >= 1 term there.
+    """
     weights = _series_weights(series)
     xs = np.atleast_1d(np.asarray(_clamp(x), dtype=float))
-    return (_weighted_antiderivative(weights, xs)
-            - _weighted_antiderivative(weights, np.array([-1.0])))
+    return _weighted_antiderivative(weights, xs) - weights[0] * np.arcsin(-1.0)
 
 
 def series_weighted_first_moment(series: ChebyshevSeries, a, b):

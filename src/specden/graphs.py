@@ -122,7 +122,8 @@ def _edges_to_graph(us: np.ndarray, vs: np.ndarray, n: int) -> GraphAccess:
         raise ValueError("edge endpoint outside [0, n)")
     lo = np.minimum(us, vs)
     hi = np.maximum(us, vs)
-    keys = np.unique(lo * np.int64(n) + hi)
+    keys = np.sort(lo * np.int64(n) + hi)
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     lo, hi = keys // n, keys % n
     rows = np.concatenate([lo, hi])
     cols = np.concatenate([hi, lo])
@@ -351,12 +352,12 @@ def graph_from_edges(us, vs, n: int) -> GraphAccess:
 
 def save_graph(graph: GraphAccess, path) -> None:
     """Write the 'n m' + one-edge-per-line (1-indexed) format."""
+    rows = np.repeat(np.arange(1, graph.n + 1), np.diff(graph.indptr))
+    cols = graph.indices + 1
+    upper = rows < cols
+    lines = map("{} {}\n".format, rows[upper].tolist(), cols[upper].tolist())
     with open(path, "w") as fh:
-        fh.write(f"{graph.n} {graph.edge_count}\n")
-        for i in range(graph.n):
-            for j in graph.indices[graph.indptr[i]:graph.indptr[i + 1]]:
-                if i < j:
-                    fh.write(f"{i + 1} {j + 1}\n")
+        fh.write(f"{graph.n} {graph.edge_count}\n" + "".join(lines))
 
 
 def load_graph(path) -> GraphAccess:

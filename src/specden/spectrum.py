@@ -21,10 +21,10 @@ logger = logging.getLogger(__name__)
 
 DENSE_SIZE_LIMIT = 4096
 BOUND_TOL = 1e-9
-#: discretize_optimal's bisection stops once every slab boundary's CDF is
-#: within MASS_TOL of its target, and fails after BISECTION_STEPS halvings
+#: discretize_optimal's boundary search stops once every slab boundary's CDF
+#: is within MASS_TOL of its target, and fails after SEARCH_STEPS steps
 MASS_TOL = 1e-10
-BISECTION_STEPS = 200
+SEARCH_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,7 @@ class DiscreteSpectrum:
 
     def save_text(self, path) -> None:
         with open(path, "w") as fh:
-            for v in self.values:
-                fh.write(f"{float(v)!r}\n")
+            fh.write("\n".join(map(repr, self.values.tolist())) + "\n")
 
     @classmethod
     def load_text(cls, path) -> "DiscreteSpectrum":
@@ -125,40 +124,68 @@ def discretize_greedy(q, n: int, eps: float) -> DiscreteSpectrum:
     return DiscreteSpectrum(np.repeat(edges[1:], np.diff(floors, prepend=0)))
 
 
+def _slab_bounds(q, total: float, n: int) -> np.ndarray:
+    """Interior slab boundaries b_1..b_{n-1} with ``|F(b_k) - k total/n| <= MASS_TOL``.
+
+    One CDF table at the n+1 equispaced nodes of [-1, 1], made nondecreasing
+    by its running maximum, brackets each target t between adjacent nodes
+    with ``F(x_{j-1}) < t <= F(x_j)``: a true sign change even where a noisy
+    density's CDF is not monotone. Batched Illinois steps (regula falsi that
+    halves the f-value of an endpoint kept twice in a row) then run on the
+    boundaries not yet within MASS_TOL, falling back to the bracket midpoint
+    whenever a point would leave its bracket.
+    """
+    targets = total * np.arange(1, n) / n
+    nodes = np.linspace(-1.0, 1.0, n + 1)
+    cdf = np.asarray(q.cdf(nodes), dtype=float)
+    j = np.clip(np.searchsorted(np.maximum.accumulate(cdf), targets), 1, n)
+    a, b = nodes[j - 1], nodes[j]
+    fa, fb = cdf[j - 1] - targets, cdf[j] - targets
+    close = np.abs(fb) <= MASS_TOL
+    bounds, err = np.where(close, b, a), np.where(close, fb, fa)
+    live = np.flatnonzero(np.abs(err) > MASS_TOL)
+    a, b, fa, fb, err = (v[live] for v in (a, b, fa, fb, err))
+    kept = np.zeros(live.size, dtype=int)  # +1: b was kept last step, -1: a was
+    steps = 0
+    while live.size:
+        if steps == SEARCH_STEPS:
+            worst = int(np.argmax(np.abs(err)))
+            raise RuntimeError(
+                f"slab boundary search did not converge after {SEARCH_STEPS} "
+                f"steps: boundary {live[worst] + 1} of {n - 1}, bracket "
+                f"[{a[worst]}, {b[worst]}], target mass {targets[live[worst]]:.12g}")
+        steps += 1
+        c = b - fb * (b - a) / (fb - fa)
+        c = np.where((a < c) & (c < b), c, 0.5 * (a + b))
+        err = np.asarray(q.cdf(c), dtype=float) - targets[live]
+        bounds[live] = c
+        up = err > 0.0  # c replaces b and a is kept; otherwise the reverse
+        fa = np.where(up, np.where(kept == -1, 0.5 * fa, fa), err)
+        fb = np.where(up, err, np.where(kept == 1, 0.5 * fb, fb))
+        a, b = np.where(up, a, c), np.where(up, c, b)
+        kept = np.where(up, -1, 1)
+        keep = np.abs(err) > MASS_TOL
+        live, a, b, fa, fb, kept, err = (
+            v[keep] for v in (live, a, b, fa, fb, kept, err))
+    return bounds
+
+
 def discretize_optimal(q, n: int) -> DiscreteSpectrum:
     """Quantile-slab conditional means: the W1-optimal n-point discretization.
 
-    Each slab [t, t'] holds mass 1/n; all interior slab boundaries are found
-    by one batched bisection against the closed-form CDF, and each emitted
-    point is the slab's conditional mean from the closed-form first moment.
+    Each slab [t, t'] holds mass 1/n. Its interior boundaries come from one
+    CDF table on n+1 equispaced nodes, which brackets every boundary within
+    one cell, and a few batched Illinois steps against the closed-form CDF
+    on the boundaries not yet within MASS_TOL of their target mass (see
+    ``_slab_bounds``). Each emitted point is the slab's conditional mean from
+    the closed-form first moment.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     total = float(q.integrate(-1.0, 1.0))
     if total <= 0:
         raise ValueError("density has no positive mass on [-1, 1]")
-    if n == 1:
-        bounds = np.array([-1.0, 1.0])
-    else:
-        targets = total * np.arange(1, n) / n
-        lo = np.full(n - 1, -1.0)
-        hi = np.full(n - 1, 1.0)
-        mid = 0.5 * (lo + hi)
-        for _ in range(BISECTION_STEPS):
-            err = np.asarray(q.cdf(mid)) - targets
-            if np.all(np.abs(err) <= MASS_TOL):
-                break
-            below = err < 0
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-            mid = 0.5 * (lo + hi)
-        else:
-            worst = int(np.argmax(np.abs(np.asarray(q.cdf(mid)) - targets)))
-            raise RuntimeError(
-                f"slab boundary search did not converge after {BISECTION_STEPS} "
-                f"steps: boundary {worst + 1} of {n - 1}, bracket "
-                f"[{lo[worst]}, {hi[worst]}], target mass {targets[worst]:.12g}")
-        bounds = np.concatenate([[-1.0], np.maximum.accumulate(mid), [1.0]])
+    bounds = np.concatenate([[-1.0], np.maximum.accumulate(_slab_bounds(q, total, n)), [1.0]])
     left, right = bounds[:-1], bounds[1:]
     means = q.first_moment(left, right) / (total / n)
     points = np.where(right - left <= 1e-15, 0.5 * (left + right), means)

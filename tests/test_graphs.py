@@ -80,6 +80,29 @@ class TestGraphAccess:
         np.testing.assert_array_equal(back.indptr, g.indptr)
         np.testing.assert_array_equal(back.indices, g.indices)
 
+    @pytest.mark.parametrize("kind, size", [
+        ("clique-plus-matching", {"n": 16}), ("hairy-clique", {"n": 12}),
+        ("hypercube", {"bits": 5})], ids=["clique-plus-matching", "hairy-clique", "hypercube"])
+    def test_save_load_save_is_byte_identical(self, tmp_path, kind, size):
+        g = generate_graph(kind, **size)[0]
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        save_graph(g, first)
+        save_graph(load_graph(first), second)
+        assert second.read_bytes() == first.read_bytes()
+        # the format: header, then each edge once as 'i j' with i < j, by row
+        expected = [f"{g.n} {g.edge_count}"] + [
+            f"{i + 1} {j + 1}" for i in range(g.n) for j in g.neighbors(i) if i < j]
+        assert first.read_text() == "\n".join(expected) + "\n"
+
+    def test_duplicate_and_reversed_pairs_save_once(self, tmp_path):
+        raw = tmp_path / "raw.txt"
+        raw.write_text("4 6\n1 2\n2 1\n3 4\n1 2\n4 3\n2 3\n")
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        save_graph(load_graph(raw), first)
+        save_graph(load_graph(first), second)
+        assert first.read_text() == "4 3\n1 2\n2 3\n3 4\n"
+        assert second.read_bytes() == first.read_bytes()
+
     def test_load_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3\n1 2\n")

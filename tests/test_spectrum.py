@@ -23,7 +23,7 @@ from specden import (
 )
 from specden.chebyshev import ChebyshevSeries
 from specden.density import DensityEstimate
-from specden.spectrum import _cell_grid
+from specden.spectrum import MASS_TOL, _cell_grid, _slab_bounds
 
 from conftest import UniformDensity, random_spectrum_matrix
 
@@ -106,9 +106,8 @@ def _greedy_inputs(eps):
     return inputs
 
 
-def _discretize_optimal_per_slab(q, n):
-    """Reference: the same slab search, then one closed-form call per slab."""
-    total = float(q.integrate(-1.0, 1.0))
+def _bisection_slab_bounds(q, total, n):
+    """Reference: bisect every slab boundary from [-1, 1] against the CDF."""
     targets = total * np.arange(1, n) / n
     lo = np.full(n - 1, -1.0)
     hi = np.full(n - 1, 1.0)
@@ -116,12 +115,18 @@ def _discretize_optimal_per_slab(q, n):
     for _ in range(200):
         err = np.asarray(q.cdf(mid)) - targets
         if np.all(np.abs(err) <= 1e-10):
-            break
+            return mid
         below = err < 0
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
         mid = 0.5 * (lo + hi)
-    bounds = np.concatenate([[-1.0], np.maximum.accumulate(mid), [1.0]])
+    raise RuntimeError("reference bisection did not converge")
+
+
+def _discretize_optimal_per_slab(q, n, slab_bounds=_slab_bounds):
+    """Reference: the given slab search, then one closed-form call per slab."""
+    total = float(q.integrate(-1.0, 1.0))
+    bounds = np.concatenate([[-1.0], np.maximum.accumulate(slab_bounds(q, total, n)), [1.0]])
     points = np.empty(n)
     for j in range(n):
         left, right = bounds[j], bounds[j + 1]
@@ -195,6 +200,7 @@ class TestDiscreteSpectrum:
         s = DiscreteSpectrum(np.array([-0.25, 0.5]))
         path = tmp_path / "spec.txt"
         s.save_text(path)
+        assert path.read_text() == "-0.25\n0.5\n"
         np.testing.assert_array_equal(DiscreteSpectrum.load_text(path).values, s.values)
 
     def test_json_round_trip(self):
@@ -287,6 +293,35 @@ class TestGreedyDiscretization:
             discretize_greedy(UniformDensity(), 2, 1.0)
 
 
+class _KinkedDensity:
+    """Piecewise-constant density on [-1, 1] with half its mass left of 0.2."""
+
+    def integrate(self, a, b):
+        return float(self.cdf(b)[0] - self.cdf(a)[0])
+
+    def cdf(self, x):
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        return np.where(xs <= 0.2, (xs + 1.0) / 2.4, 0.5 + (xs - 0.2) / 1.6)
+
+
+class _CountingDensity:
+    """Wraps a density and counts the points its CDF is evaluated at."""
+
+    def __init__(self, q):
+        self.q = q
+        self.cdf_points = 0
+
+    def cdf(self, x):
+        self.cdf_points += np.size(x)
+        return self.q.cdf(x)
+
+    def integrate(self, a, b):
+        return self.q.integrate(a, b)
+
+    def first_moment(self, a, b):
+        return self.q.first_moment(a, b)
+
+
 class TestOptimalDiscretization:
     def test_uniform_two_points(self):
         out = discretize_optimal(UniformDensity(), 2)
@@ -320,10 +355,48 @@ class TestOptimalDiscretization:
         assert d_fine <= 2e-3
 
     def test_unconverged_search_names_boundary_and_target(self, monkeypatch):
-        monkeypatch.setattr("specden.spectrum.BISECTION_STEPS", 1)
+        # n = 4: the table brackets the median in [0, 0.5], across the kink,
+        # where one regula falsi step lands at 0.1538; the other two targets
+        # lie on straight pieces of the CDF and converge in that step
+        monkeypatch.setattr("specden.spectrum.SEARCH_STEPS", 1)
         with pytest.raises(RuntimeError,
                            match=r"after 1 steps: boundary 2 of 3, .* target mass 0\.5$"):
-            discretize_optimal(UniformDensity(), 4)
+            discretize_optimal(_KinkedDensity(), 4)
+
+
+class TestSlabBoundarySearch:
+    """The table-bracketed Illinois search against the bisection it replaced."""
+
+    @pytest.mark.parametrize("values, degree", [
+        (_hypercube14_spectrum(), 80), (np.random.default_rng(0).uniform(-1.0, 1.0, 500), 360),
+    ], ids=["hypercube14-kpm80", "uniform500-kpm360"])
+    def test_matches_bisection_and_meets_mass_tolerance(self, values, degree):
+        q, n = _kpm_density(values, degree), values.size
+        total = float(q.integrate(-1.0, 1.0))
+        bounds = _slab_bounds(q, total, n)
+        targets = total * np.arange(1, n) / n
+        assert np.max(np.abs(q.cdf(bounds) - targets)) <= MASS_TOL
+        bisected = DiscreteSpectrum(_discretize_optimal_per_slab(q, n, _bisection_slab_bounds))
+        assert w1_discrete(discretize_optimal(q, n), bisected) <= 1e-6
+
+    def test_non_monotone_cdf_meets_mass_tolerance(self):
+        # negative lobes: the running-maximum table still brackets a sign change
+        coeffs = np.random.default_rng(5).standard_normal(81)
+        coeffs[0] = 1.0 / np.sqrt(np.pi)
+        q = DensityEstimate(series=ChebyshevSeries(coeffs), metadata={})
+        assert np.any(np.diff(q.cdf(np.linspace(-1.0, 1.0, 1001))) < 0)
+        n = 2000
+        total = float(q.integrate(-1.0, 1.0))
+        bounds = _slab_bounds(q, total, n)
+        assert np.max(np.abs(q.cdf(bounds) - total * np.arange(1, n) / n)) <= MASS_TOL
+
+    def test_cdf_points_evaluated(self):
+        # host-independent work count: the n+1 table plus ~2 Illinois points
+        # per boundary; the bisection it replaced evaluated ~37 n points
+        n = 16384
+        q = _CountingDensity(_kpm_density(_hypercube14_spectrum(), 80))
+        discretize_optimal(q, n)
+        assert q.cdf_points <= 8 * n, q.cdf_points
 
 
 class TestAgainstPerSlabReferences:
