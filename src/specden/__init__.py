@@ -11,10 +11,7 @@ from .chebyshev import (
     NORM_K,
     ChebyshevSeries,
     DomainError,
-    cheb_eval_first,
-    cheb_eval_second,
     cheb_weighted_integral,
-    normalized_eval,
     series_eval,
 )
 from .jackson import JacksonCoefficients, damp_moments, degree_for_accuracy, jackson_coefficients
@@ -35,7 +32,6 @@ from .moments import (
     exact_moments,
     hutchinson_moments,
     moments_from_spectrum,
-    recurrence_error_decomposition,
 )
 from .density import (
     DensityEstimate,
@@ -50,7 +46,6 @@ from .spectrum import (
     dense_eigenvalues,
     discretize_greedy,
     discretize_optimal,
-    resample_spectrum,
     w1_density_vs_spectrum,
     w1_discrete,
 )

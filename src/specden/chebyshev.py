@@ -65,43 +65,6 @@ def _three_term(step, prev, cur):
         yield cur
 
 
-def _one(x):
-    return np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
-
-
-def cheb_eval_first(k: int, x):
-    """Evaluate the first-kind Chebyshev polynomial T_k(x) on [-1, 1].
-
-    Uses the forward recurrence T_k = 2x T_{k-1} - T_{k-2}. Accepts scalars or
-    arrays. ``|T_k(x)| <= 1`` on the domain.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0 for first-kind polynomials")
-    x = _clamp(x)
-    return next(islice(_three_term(lambda t: 2.0 * x * t, _one(x), x), k, None))
-
-
-def cheb_eval_second(k: int, x):
-    """Evaluate the second-kind Chebyshev polynomial U_k(x) on [-1, 1].
-
-    The convention U_{-1} = 0 is supported since it is what the forward
-    recurrence error analysis needs. ``|U_k(x)| <= k + 1`` on the domain.
-    """
-    if k < -1:
-        raise ValueError("k must be >= -1 for second-kind polynomials")
-    x = _clamp(x)
-    one = _one(x)
-    return next(islice(_three_term(lambda u: 2.0 * x * u, 0.0 * one, one), k + 1, None))
-
-
-def normalized_eval(k: int, x):
-    """Evaluate the unit-weighted-norm polynomial Tbar_k(x)."""
-    if k == 0:
-        t = cheb_eval_first(0, x)
-        return NORM_0 * t
-    return NORM_K * cheb_eval_first(k, x)
-
-
 def cheb_weighted_integral(k: int, a: float, b: float) -> float:
     """Closed form of ``integral_a^b T_k(x) / sqrt(1 - x^2) dx``.
 
@@ -141,9 +104,6 @@ class ChebyshevSeries:
     @property
     def degree(self) -> int:
         return self.coefficients.size - 1
-
-    def __len__(self) -> int:
-        return self.coefficients.size
 
 
 def _forward_sum(weights: np.ndarray, xs: np.ndarray, second_kind: bool) -> np.ndarray:

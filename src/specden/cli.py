@@ -209,26 +209,20 @@ def _compute_moments(args, kind: str, loaded) -> tuple[MomentVector, dict]:
                 "the exact trace; use --method exact")
     info["ell"] = ell
 
-    if args.method == "exact":
+    if args.method in ("exact", "hutchinson"):
         oracle = exact_graph_oracle(loaded) if kind == "graph" else exact_oracle(loaded)
-        try:
-            moments = exact_moments(oracle, degree)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    elif args.method == "hutchinson":
-        oracle = exact_graph_oracle(loaded) if kind == "graph" else exact_oracle(loaded)
-        moments = hutchinson_moments(oracle, degree, ell, args.seed)
+        if args.method == "hutchinson":
+            moments = hutchinson_moments(oracle, degree, ell, args.seed)
+        else:
+            try:
+                moments = exact_moments(oracle, degree)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
     elif args.method == "graph-amv":
         if kind != "graph":
             raise ConfigError("method graph-amv needs a graph input, not a matrix")
         eps_mv = args.eps_mv if args.eps_mv is not None else 1.0 / (4.0 * degree**4)
         info["eps_mv"] = eps_mv
-        if args.samples_per_matvec is None:
-            budget = math.ceil(48.0 * n / eps_mv**2)
-            if budget > 10**8:
-                raise ConfigError(
-                    f"worst-case sampling budget t={budget:.3g} per matvec is impractical; "
-                    "pass --samples-per-matvec (tuned) or a larger --eps-mv")
         try:
             oracle = boosted_graph_oracle(loaded, eps_mv, args.delta,
                                           samples=args.samples_per_matvec,

@@ -50,10 +50,6 @@ class DensityEstimate:
         vals = series_eval(self.series, xs) * weight
         return float(vals[0]) if np.isscalar(x) else vals
 
-    def polynomial_part(self, x):
-        """q(x) / w(x), finite everywhere on [-1, 1]."""
-        return series_eval(self.series, x)
-
     def integrate(self, a, b):
         """integral of q over [a, b]; scalars or equal-shape arrays of endpoints."""
         return series_weighted_integral(self.series, a, b)

@@ -38,6 +38,8 @@ logger = logging.getLogger(__name__)
 GRAPH_KINDS = ("clique-plus-matching", "hairy-clique", "hypercube")
 #: c in the boosted oracle's r = ceil(c log(1/delta)) repetitions per call
 BOOST_CONSTANT = 8.0
+#: largest worst-case budget ceil(48 n / eps_mv^2) the boosted oracle accepts
+MAX_WORST_CASE_SAMPLES = 10**8
 
 
 @dataclass
@@ -120,13 +122,9 @@ def _edges_to_graph(us: np.ndarray, vs: np.ndarray, n: int) -> GraphAccess:
         raise ValueError("self-loops are not allowed")
     if us.min() < 0 or vs.min() < 0 or us.max() >= n or vs.max() >= n:
         raise ValueError("edge endpoint outside [0, n)")
-    lo = np.minimum(us, vs)
-    hi = np.maximum(us, vs)
-    keys = np.sort(lo * np.int64(n) + hi)
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    lo, hi = keys // n, keys % n
-    rows = np.concatenate([lo, hi])
-    cols = np.concatenate([hi, lo])
+    # the COO -> CSR build sums repeated and reversed pairs into one entry
+    rows = np.concatenate([us, vs])
+    cols = np.concatenate([vs, us])
     adj = scipy.sparse.csr_matrix(
         (np.ones(rows.size), (rows, cols)), shape=(n, n))
     degrees = np.diff(adj.indptr).astype(np.int64)
@@ -226,7 +224,8 @@ def boosted_graph_oracle(graph: GraphAccess, eps_mv: float, delta: float,
 
     A given ``samples`` replaces that schedule with one sampler run of budget
     t = samples per call and no vote, the practical configuration when t is
-    tuned empirically instead of set by the worst-case formula.
+    tuned empirically instead of set by the worst-case formula. Without it, a
+    worst-case t above ``MAX_WORST_CASE_SAMPLES`` raises ValueError.
     """
     if not 0.0 < eps_mv < 1.0:
         raise ValueError("eps_mv must be in (0, 1)")
@@ -235,6 +234,10 @@ def boosted_graph_oracle(graph: GraphAccess, eps_mv: float, delta: float,
     if samples is None:
         r = max(1, math.ceil(BOOST_CONSTANT * math.log(1.0 / delta)))
         t = math.ceil(48.0 * graph.n / eps_mv**2)
+        if t > MAX_WORST_CASE_SAMPLES:
+            raise ValueError(
+                f"worst-case sampling budget t={t:.3g} per matvec is impractical; "
+                "pass samples= (tuned) or a larger eps_mv")
     elif samples < 1:
         raise ValueError("samples must be >= 1")
     else:
@@ -370,6 +373,9 @@ def load_graph(path) -> GraphAccess:
         data = np.loadtxt(fh, dtype=np.int64, ndmin=2)
     if data.size == 0:
         raise ValueError(f"{path}: no edges")
+    if data.shape[1] != 2:
+        raise ValueError(f"{path}: each edge line must hold exactly two vertex numbers, "
+                         f"found {data.shape[1]} columns")
     if data.shape[0] != m:
         raise ValueError(f"{path}: header declares {m} edges, found {data.shape[0]}")
     us, vs = data[:, 0] - 1, data[:, 1] - 1

@@ -10,15 +10,11 @@ non-negativity and converges uniformly at rate 18/N for 1-Lipschitz targets.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chebyshev import ChebyshevSeries
-
-_cache: dict[int, "JacksonCoefficients"] = {}
-_cache_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -53,23 +49,14 @@ def full_convolution(degree: int) -> np.ndarray:
 
 
 def jackson_coefficients(degree: int) -> JacksonCoefficients:
-    """Compute (and cache) the damping coefficients for one degree.
+    """Compute the damping coefficients for one degree.
 
     Exact 64-bit integer arithmetic: the leading value is
     sum_j (N/2 + 1 - |j|)^2 over |j| <= N/2, about N^3 / 12 (5,735,016,449 at
     N = 4096), so int64 holds it for every N up to about 4.8e6.
     """
-    with _cache_lock:
-        hit = _cache.get(degree)
-    if hit is not None:
-        return hit
     conv = full_convolution(degree)
-    values = conv[conv.size // 2 :].copy()
-    coeffs = JacksonCoefficients(degree=degree, values=values)
-    with _cache_lock:
-        # idempotent fill: concurrent first-use computes the same values
-        _cache.setdefault(degree, coeffs)
-    return coeffs
+    return JacksonCoefficients(degree=degree, values=conv[conv.size // 2 :].copy())
 
 
 def degree_for_accuracy(eps: float) -> int:

@@ -4,10 +4,9 @@ The k-th normalized moment of a matrix A with eigenvalues in [-1, 1] is
 ``tau_k = (1/n) tr(Tbar_k(A))``. This module computes them three ways:
 exactly (a full basis sweep through the matrix recurrence), stochastically
 with Hutchinson's estimator, and stochastically through an approximate
-matrix-vector oracle. All paths, and the recurrence error decomposition, run
-the one forward recurrence of :func:`specden.chebyshev._three_term`,
-``T_k(A) g = 2 A T_{k-1}(A) g - T_{k-2}(A) g``, and harvest every moment from a
-single sweep per probe vector.
+matrix-vector oracle. All paths run the one forward recurrence of
+:func:`specden.chebyshev._three_term`, ``T_k(A) g = 2 A T_{k-1}(A) g -
+T_{k-2}(A) g``, and harvest every moment from a single sweep per probe vector.
 
 On an exact oracle (``error_bound == 0``) the sweep stops at v_{N/2}: the
 identities ``T_{2j} = 2 T_j^2 - T_0`` and ``T_{2j+1} = 2 T_{j+1} T_j - T_1``
@@ -63,10 +62,6 @@ class MomentVector:
         if self.provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         object.__setattr__(self, "values", vals)
-
-    @property
-    def tau_0(self) -> float:
-        return NORM_0
 
     def full_coefficients(self) -> np.ndarray:
         """[tau_0, tau_1, ..., tau_N] as one vector."""
@@ -233,44 +228,3 @@ def moments_from_spectrum(eigenvalues, degree: int) -> MomentVector:
     sweep = _three_term(lambda t: 2.0 * lam * t, np.ones_like(lam), lam)
     values = NORM_K * np.array([t.mean() for t in islice(sweep, 1, degree + 1)])
     return MomentVector(degree=degree, values=values, provenance="exact", ell=0)
-
-
-def recurrence_error_decomposition(oracle: MatvecOracle, g: np.ndarray, degree: int,
-                                   exact_apply):
-    """Measured accumulated errors of one sweep and their second-kind reconstruction.
-
-    Runs the (possibly approximate) recurrence through ``oracle``, recording
-    every oracle response w_0..w_{N-1}, and again through ``exact_apply``
-    (the exact ``y -> A y``). Returns (measured, reconstructed):
-    ``measured[k] = v_k - v~_k`` and ``reconstructed[k]`` assembled from the
-    per-step oracle errors ``xi_k = A v~_{k-1} - w_{k-1}`` as
-    ``U_{k-1}(A) xi_1 + 2 sum_{i>=2} U_{k-i}(A) xi_i``. The two must agree to
-    rounding; disagreement means the sweep and the error recurrence have
-    diverged.
-    """
-    g = np.asarray(g, dtype=float)
-    responses = [oracle.apply(g)]
-
-    def recording_step(v):
-        responses.append(oracle.apply(v))
-        return 2.0 * responses[-1]
-
-    def exact_step(v):
-        return 2.0 * exact_apply(v)
-
-    approx = list(islice(_three_term(recording_step, g, responses[0]), degree + 1))
-    exact = islice(_three_term(exact_step, g, exact_apply(g)), degree + 1)
-    measured = [v - v_approx for v, v_approx in zip(exact, approx)]
-
-    # sweeps[i - 1] yields U_j(A) xi_i for j = 0, 1, ..., one j per outer step
-    reconstructed = [np.zeros_like(g)]
-    sweeps = []
-    for k in range(1, degree + 1):
-        xi_k = exact_apply(approx[k - 1]) - responses[k - 1]
-        sweeps.append(islice(_three_term(exact_step, np.zeros_like(g), xi_k), 1, None))
-        total = np.zeros_like(g)
-        for i, sweep in enumerate(sweeps, start=1):
-            u = next(sweep)
-            total += u if i == 1 else 2.0 * u
-        reconstructed.append(total)
-    return measured, reconstructed

@@ -52,9 +52,7 @@ class SymmetricMatrix:
         rr = np.concatenate([r, c[off]])
         cc = np.concatenate([c, r[off]])
         vv = np.concatenate([v, v[off]])
-        mat = scipy.sparse.csr_matrix((vv, (rr, cc)), shape=(n, n))
-        mat.sum_duplicates()
-        return cls(mat)
+        return cls(scipy.sparse.csr_matrix((vv, (rr, cc)), shape=(n, n)))
 
     @property
     def dimension(self) -> int:

@@ -269,10 +269,3 @@ def dense_eigenvalues(matrix) -> DiscreteSpectrum:
         raise ValueError(f"matrix size {n} exceeds the dense solver guard {DENSE_SIZE_LIMIT}")
     work = 0.5 * (arr + arr.T)
     return DiscreteSpectrum(np.linalg.eigvalsh(work))
-
-
-def resample_spectrum(spectrum: DiscreteSpectrum, m: int) -> DiscreteSpectrum:
-    """m mid-quantiles of the empirical distribution of a spectrum."""
-    qs = (np.arange(m) + 0.5) / m
-    idx = np.minimum((qs * spectrum.n).astype(int), spectrum.n - 1)
-    return DiscreteSpectrum(spectrum.values[idx])

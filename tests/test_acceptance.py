@@ -34,7 +34,7 @@ from specden import (
     w1_density_vs_spectrum,
     w1_discrete,
 )
-from specden.chebyshev import NORM_K, normalized_eval
+from specden.chebyshev import NORM_0, NORM_K
 from specden.cli import SEARCH_FRACTIONS, main
 from specden.moments import MomentVector, _sweep_products, rademacher
 
@@ -98,8 +98,9 @@ def test_criterion_1_jackson_bound():
     for degree in (8, 16, 32, 64):
         coeffs = np.empty(degree + 1)
         for k in range(degree + 1):
+            norm = NORM_0 if k == 0 else NORM_K
             coeffs[k], _ = scipy.integrate.quad(
-                lambda th: abs(math.cos(th)) * normalized_eval(k, math.cos(th)),
+                lambda th: abs(math.cos(th)) * norm * math.cos(k * th),
                 0.0, math.pi, epsabs=1e-11, limit=100)
         damped = ChebyshevSeries(jackson_coefficients(degree).ratios * coeffs)
         err = np.abs(series_eval(damped, grid) - target).max()

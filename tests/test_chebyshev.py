@@ -8,16 +8,14 @@ from hypothesis import strategies as st
 from specden import (
     ChebyshevSeries,
     DomainError,
-    cheb_eval_first,
-    cheb_eval_second,
     cheb_weighted_integral,
-    normalized_eval,
     series_eval,
 )
 from specden.chebyshev import (
     NORM_0,
     NORM_K,
     _forward_sum,
+    _three_term,
     series_weighted_cdf,
     series_weighted_first_moment,
     series_weighted_integral,
@@ -42,6 +40,27 @@ def _forward_sum_loop(weights, xs, second_kind):
     return acc
 
 
+def _unit_sweep(k, x, second_kind=False):
+    """T_k (or U_k) at ``x`` through the program's accumulating sweep, with
+    weight 1 on degree k and 0 elsewhere: every other term adds an exact zero,
+    so the result is the recurrence's own P_k bit for bit."""
+    weights = np.zeros(k + 1)
+    weights[k] = 1.0
+    return _forward_sum(weights, np.atleast_1d(np.asarray(x, dtype=float)), second_kind)
+
+
+def _unit_series(k):
+    """The series ``Tbar_k``: coefficient 1 on degree k."""
+    coeffs = np.zeros(k + 1)
+    coeffs[k] = 1.0
+    return ChebyshevSeries(coeffs)
+
+
+def _tbar(k, theta):
+    """Tbar_k(cos theta) by the closed form ``cos(k theta)``, independent of any sweep."""
+    return (NORM_0 if k == 0 else NORM_K) * math.cos(k * theta)
+
+
 def _cheb_eval_second_loop(k, x):
     """Reference: the U_k sweep as an explicit loop, for k >= 1."""
     u_prev = np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
@@ -53,14 +72,17 @@ def _cheb_eval_second_loop(k, x):
 
 class TestFirstKind:
     def test_degree_zero_is_one(self):
-        assert cheb_eval_first(0, 0.3) == 1.0
+        assert _unit_sweep(0, 0.3)[0] == 1.0
+        assert series_eval(_unit_series(0), 0.3) == NORM_0
 
     def test_degree_one_is_identity(self):
-        assert cheb_eval_first(1, -0.7) == -0.7
+        assert _unit_sweep(1, -0.7)[0] == -0.7
+        assert series_eval(_unit_series(1), -0.7) == -0.7 * NORM_K
 
     def test_degree_two(self):
         # 2 * 0.5 * 0.5 - 1
-        assert cheb_eval_first(2, 0.5) == pytest.approx(-0.5, abs=1e-15)
+        assert _unit_sweep(2, 0.5)[0] == pytest.approx(-0.5, abs=1e-15)
+        assert series_eval(_unit_series(2), 0.5) == pytest.approx(-0.5 * NORM_K, abs=1e-15)
 
     def test_bounded_by_one_on_grid(self):
         xs = np.linspace(-1.0, 1.0, 1000)
@@ -68,32 +90,42 @@ class TestFirstKind:
         for k in range(2, 129):
             t_prev, t_cur = t_cur, 2.0 * xs * t_cur - t_prev
             assert np.abs(t_cur).max() <= 1.0 + 1e-9, f"k={k}"
-        # the grid recurrence and the public entry point agree at the top degree
-        np.testing.assert_allclose(cheb_eval_first(128, xs), t_cur, rtol=0, atol=0)
+        # the grid recurrence and the program's sweep agree at the top degree
+        np.testing.assert_allclose(_unit_sweep(128, xs), t_cur, rtol=0, atol=0)
+        np.testing.assert_allclose(series_eval(_unit_series(128), xs), NORM_K * t_cur,
+                                   rtol=0, atol=0)
 
     def test_matches_cosine_identity(self):
         for k in (3, 17, 50):
             theta = 0.8123
-            assert cheb_eval_first(k, math.cos(theta)) == pytest.approx(
+            assert _unit_sweep(k, math.cos(theta))[0] == pytest.approx(
                 math.cos(k * theta), abs=1e-10)
+            assert series_eval(_unit_series(k), math.cos(theta)) == pytest.approx(
+                _tbar(k, theta), abs=1e-10)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            cheb_eval_first(3, 1.0 + 1e-6)
+            series_eval(_unit_series(3), 1.0 + 1e-6)
 
     def test_clamps_tiny_drift(self):
-        assert cheb_eval_first(3, 1.0 + 1e-13) == pytest.approx(1.0)
+        assert series_eval(_unit_series(3), 1.0 + 1e-13) == pytest.approx(NORM_K)
 
 
 class TestSecondKind:
     def test_u_minus_one_is_zero(self):
-        assert cheb_eval_second(-1, 0.4) == 0.0
+        # the sweep seeded with U_{-1} = 0 and U_0 = 1 (the error recurrence's
+        # seed) runs into the second-kind sweep that starts at U_1 = 2x
+        xs = np.linspace(-1.0, 1.0, 101)
+        seeded = _three_term(lambda u: 2.0 * xs * u, np.zeros_like(xs), np.ones_like(xs))
+        assert np.all(next(seeded) == 0.0)
+        for k, u in zip(range(6), seeded):
+            np.testing.assert_array_equal(u, _unit_sweep(k, xs, second_kind=True))
 
     def test_u_one(self):
-        assert cheb_eval_second(1, 0.4) == pytest.approx(0.8)
+        assert _unit_sweep(1, 0.4, second_kind=True)[0] == pytest.approx(0.8)
 
     def test_value_at_one_is_k_plus_one(self):
-        assert cheb_eval_second(3, 1.0) == pytest.approx(4.0)
+        assert _unit_sweep(3, 1.0, second_kind=True)[0] == pytest.approx(4.0)
 
     def test_bounded_by_k_plus_one_on_grid(self):
         xs = np.linspace(-1.0, 1.0, 1000)
@@ -102,17 +134,18 @@ class TestSecondKind:
         for k in range(2, 129):
             u_prev, u_cur = u_cur, 2.0 * xs * u_cur - u_prev
             assert np.abs(u_cur).max() <= k + 1 + 1e-9, f"k={k}"
+        np.testing.assert_array_equal(_unit_sweep(128, xs, second_kind=True), u_cur)
 
 
 class TestNormalized:
     def test_zeroth_is_inverse_sqrt_pi(self):
-        assert normalized_eval(0, 0.123) == pytest.approx(0.5641895835477563, abs=1e-12)
+        assert series_eval(_unit_series(0), 0.123) == pytest.approx(0.5641895835477563, abs=1e-12)
 
     def test_first_at_one(self):
-        assert normalized_eval(1, 1.0) == pytest.approx(0.7978845608028654, abs=1e-12)
+        assert series_eval(_unit_series(1), 1.0) == pytest.approx(0.7978845608028654, abs=1e-12)
 
     def test_second_combines_with_raw_eval(self):
-        assert normalized_eval(2, 0.5) == pytest.approx(-0.5 * NORM_K)
+        assert series_eval(_unit_series(2), 0.5) == pytest.approx(-0.5 * NORM_K)
 
 
 class TestWeightedIntegral:
@@ -156,7 +189,7 @@ class TestWeightedIntegral:
         for i in range(0, 21, 4):
             for j in range(i, 21, 5):
                 val, _ = scipy.integrate.quad(
-                    lambda th: normalized_eval(i, math.cos(th)) * normalized_eval(j, math.cos(th)),
+                    lambda th: _tbar(i, th) * _tbar(j, th),
                     0.0, math.pi, epsabs=1e-12, limit=200)
                 expected = 1.0 if i == j else 0.0
                 assert val == pytest.approx(expected, abs=1e-8), (i, j)
@@ -307,7 +340,9 @@ class TestAgainstHandLoops:
 
     @pytest.mark.parametrize("degree", [4, 80, 360])
     def test_cheb_eval_second(self, degree):
+        # U_k from the second-kind sweep with a unit weight vector
         xs = np.random.default_rng(degree).uniform(-1.0, 1.0, 1000)
         for k in (1, 2, degree):
-            np.testing.assert_array_equal(cheb_eval_second(k, xs), _cheb_eval_second_loop(k, xs))
-            assert cheb_eval_second(k, 0.37) == _cheb_eval_second_loop(k, 0.37)
+            np.testing.assert_array_equal(_unit_sweep(k, xs, second_kind=True),
+                                          _cheb_eval_second_loop(k, xs))
+            assert _unit_sweep(k, 0.37, second_kind=True)[0] == _cheb_eval_second_loop(k, 0.37)

@@ -154,9 +154,13 @@ class TestExitCodes:
 
     def test_malformed_graph_is_2(self, tmp_path):
         bad = tmp_path / "bad.txt"
-        bad.write_text("5 1\n1 1\n")  # self loop
-        assert main(["estimate", str(bad), "--format", "graph", "--degree", "8",
-                     "--output", str(tmp_path / "o.json")]) == 2
+        out = tmp_path / "o.json"
+        # a self loop, and a weighted edge list whose weights would be dropped
+        for text in ("5 1\n1 1\n", "3 2\n1 2 5\n2 3 7\n"):
+            bad.write_text(text)
+            assert main(["estimate", str(bad), "--format", "graph", "--degree", "8",
+                         "--output", str(out)]) == 2
+            assert not out.exists()
 
     def test_amv_on_matrix_is_3(self, tmp_path):
         mat = tmp_path / "m.txt"

@@ -59,6 +59,12 @@ class TestGraphAccess:
         g = graph_from_edges([0, 1, 0], [1, 0, 1], 2)
         assert g.edge_count == 1
         assert g.degrees.tolist() == [1, 1]
+        # a triple and a reversed duplicate build the clean graph's CSR arrays
+        clean = graph_from_edges([0, 1, 2], [1, 2, 3], 4)
+        messy = graph_from_edges([0, 1, 0, 2, 1, 0, 3], [1, 2, 1, 3, 2, 1, 2], 4)
+        for name in ("indptr", "indices", "degrees"):
+            np.testing.assert_array_equal(getattr(messy, name), getattr(clean, name))
+        np.testing.assert_array_equal(messy.norm_adjacency.data, clean.norm_adjacency.data)
 
     def test_inverse_degree_identity_exact(self):
         # sum_i sum_{j in N(i)} 1/d_j == n, in exact rational arithmetic
@@ -106,6 +112,18 @@ class TestGraphAccess:
     def test_load_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3\n1 2\n")
+        with pytest.raises(ValueError):
+            load_graph(path)
+
+    @pytest.mark.parametrize("text", [
+        "3 2\n1 2 5\n2 3 7\n",  # weighted: the weights must not be dropped silently
+        "3 2\n1\n2\n",
+        "3 2\n1 2\n2 3 7\n",
+        "3 2\n1 2\n2 3.5\n",
+    ], ids=["three-columns", "one-column", "ragged", "non-integer"])
+    def test_load_rejects_rows_that_are_not_two_integers(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
         with pytest.raises(ValueError):
             load_graph(path)
 
@@ -361,6 +379,11 @@ class TestBoostedOracle:
         for samples in (0, -1):
             with pytest.raises(ValueError):
                 boosted_graph_oracle(g, eps_mv=0.5, delta=0.1, samples=samples)
+        # the worst-case budget ceil(48 n / eps_mv^2) = 9.6e9 is refused; a
+        # tuned budget at the same eps_mv is not
+        with pytest.raises(ValueError, match="samples=.*eps_mv"):
+            boosted_graph_oracle(g, eps_mv=1e-4, delta=0.1)
+        assert boosted_graph_oracle(g, eps_mv=1e-4, delta=0.1, samples=64).error_bound == 1e-4
 
 
 class TestLaplacianReflect:

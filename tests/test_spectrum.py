@@ -17,7 +17,6 @@ from specden import (
     idealized_kpm,
     jackson_coefficients,
     moments_from_spectrum,
-    resample_spectrum,
     w1_density_vs_spectrum,
     w1_discrete,
 )
@@ -39,6 +38,13 @@ def _origin_spike(degree):
 
 def _kpm_density(values, degree):
     return idealized_kpm(moments_from_spectrum(values, degree), jackson_coefficients(degree))
+
+
+def resample_spectrum(spectrum, m):
+    """m mid-quantiles of the empirical distribution of a spectrum."""
+    qs = (np.arange(m) + 0.5) / m
+    idx = np.minimum((qs * spectrum.n).astype(int), spectrum.n - 1)
+    return DiscreteSpectrum(spectrum.values[idx])
 
 
 def _hypercube14_spectrum():
