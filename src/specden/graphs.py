@@ -9,9 +9,9 @@ The simulator does not run that loop one iteration at a time. It draws the
 per-column counts of all t iterations from their exact joint distribution: the
 number of accepted iterations k from a binomial, then the k accepted columns,
 one at a time from a Walker alias table when k < n and as one multinomial
-otherwise. The per-iteration column probabilities ``p`` and the alias table
-are computed once per graph. That one-time O(nnz) work, the draw and the
-final sparse product are the simulator's own work; the reported cost
+otherwise. The per-iteration column probabilities ``p``, their sum and the
+alias table are computed once per graph. That one-time O(nnz) work, the draw
+and the final sparse product are the simulator's own work; the reported cost
 (``entries_touched``) stays the sampling loop's, one column read of d_i
 entries per accepted iteration.
 """
@@ -83,6 +83,11 @@ class GraphAccess:
         return p
 
     @cached_property
+    def acceptance_probability(self) -> float:
+        """sum(p): the probability that one iteration accepts any column."""
+        return self.column_probabilities.sum()
+
+    @cached_property
     def column_alias_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Walker alias table ``(prob, alias)`` of the accepted column's law
         ``p / sum(p)``: draw j uniformly from [0, n), keep j with probability
@@ -90,7 +95,7 @@ class GraphAccess:
         probability ``(prob[i] + sum_{j: alias[j] = i} (1 - prob[j])) / n``.
         Built by Vose's O(n) pairing of under- and over-full columns."""
         p = self.column_probabilities
-        scaled = (p * (self.n / p.sum())).tolist()
+        scaled = (p * (self.n / self.acceptance_probability)).tolist()
         prob = [1.0] * self.n
         alias = list(range(self.n))
         small = [i for i, s in enumerate(scaled) if s < 1.0]
@@ -174,8 +179,9 @@ def sampled_matvec(graph: GraphAccess, y: np.ndarray, t: int, seed) -> SampledMa
     draws the k columns one by one from the graph's Walker alias table, in
     O(1) each, and tallies them; otherwise it draws
     ``Multinomial(k, p / sum p)``, whose cost grows with n, not with k.
-    It returns ``Abar (counts * y / p) / t``. Computing ``p`` and the alias
-    table once per graph (``GraphAccess.column_probabilities`` and
+    It returns ``Abar (counts * y / p) / t``. Computing ``p``, its sum and
+    the alias table once per graph (``GraphAccess.column_probabilities``,
+    ``GraphAccess.acceptance_probability`` and
     ``GraphAccess.column_alias_table``), the draw and the sparse product are
     the simulator's own work, not the sampling loop's.
 
@@ -189,20 +195,26 @@ def sampled_matvec(graph: GraphAccess, y: np.ndarray, t: int, seed) -> SampledMa
     if y.shape[0] != n:
         raise ValueError(f"dimension mismatch: graph has {n} vertices")
     p = graph.column_probabilities
-    total = p.sum()
+    total = graph.acceptance_probability
     rng = np.random.default_rng(seed)
     accepted = int(rng.binomial(t, min(total, 1.0)))
     if accepted < n:
         prob, alias = graph.column_alias_table
         cols = rng.integers(0, n, size=accepted)
-        cols = np.where(rng.random(accepted) < prob[cols], cols, alias[cols])
+        rejected = rng.random(accepted) >= prob[cols]
+        cols[rejected] = alias[cols[rejected]]
         counts = np.bincount(cols, minlength=n)
+        entries = int(graph.degrees[cols].sum())
     else:
         counts = rng.multinomial(accepted, p / total)
-    output = graph.norm_adjacency @ (counts * y / p) / t
+        entries = int(np.dot(counts, graph.degrees))
+    scaled = counts * y
+    scaled /= p
+    output = graph.norm_adjacency @ scaled
+    output /= t
     return SampledMatvecReport(
         output=output,
-        entries_touched=int(np.dot(counts, graph.degrees)),
+        entries_touched=entries,
         samples=t,
         accepted=accepted,
         accepted_counts=counts,

@@ -2,11 +2,13 @@
 
 The k-th normalized moment of a matrix A with eigenvalues in [-1, 1] is
 ``tau_k = (1/n) tr(Tbar_k(A))``. This module computes them three ways:
-exactly (a full basis sweep through the matrix recurrence), stochastically
-with Hutchinson's estimator, and stochastically through an approximate
-matrix-vector oracle. All paths run the one forward recurrence of
+exactly, stochastically with Hutchinson's estimator, and stochastically
+through an approximate matrix-vector oracle. The exact path takes one LAPACK
+eigensolve when the matrix is held densely, ``tau_k = (1/n) sum_i
+Tbar_k(lambda_i)``, and otherwise sweeps the whole standard basis through the
+matrix recurrence. Every sweep runs the one forward recurrence of
 :func:`specden.chebyshev._three_term`, ``T_k(A) g = 2 A T_{k-1}(A) g -
-T_{k-2}(A) g``, and harvest every moment from a single sweep per probe vector.
+T_{k-2}(A) g``, and harvests every moment from a single sweep per probe vector.
 
 On an exact oracle (``error_bound == 0``) the sweep stops at v_{N/2}: the
 identities ``T_{2j} = 2 T_j^2 - T_0`` and ``T_{2j+1} = 2 T_{j+1} T_j - T_1``
@@ -193,17 +195,24 @@ def approx_hutchinson_moments(oracle: MatvecOracle, degree: int, ell: int, seed)
 
 def exact_moments(oracle: MatvecOracle, degree: int,
                   max_block_elements: int = 2**24) -> MomentVector:
-    """Exact moments by sweeping the whole standard basis: n*N/2 oracle calls.
+    """Exact moments: one eigensolve for a dense matrix, else a basis sweep.
 
-    The basis is processed in column blocks (bounded by ``max_block_elements``
-    per work array) so memory stays flat; each block E runs the matrix
-    recurrence to V_{N/2} and contributes its part of every trace,
+    When the oracle's matrix is a dense ndarray it already takes n^2 memory,
+    so one O(n^3) ``numpy.linalg.eigvalsh`` gives every eigenvalue and
+    :func:`moments_from_spectrum` the moments, with no oracle calls. A sparse
+    matrix, or an oracle with no materialized matrix, sweeps the whole
+    standard basis instead: n*N/2 oracle calls. That basis is processed in
+    column blocks (bounded by ``max_block_elements`` per work array, which
+    applies to the sweep only) so memory stays flat; each block E runs the
+    matrix recurrence to V_{N/2} and contributes its part of every trace,
     ``2 ||V_j||_F^2 - b`` and ``2 <V_j+1, V_j>_F - <E, V_1>_F`` for its b
     columns. Expensive for large n, by design: this is the ground-truth path.
     """
     if oracle.error_bound != 0.0:
         raise ValueError("exact_moments needs an exact oracle")
     _check_degree(degree)
+    if oracle.matrix is not None and isinstance(oracle.matrix.operand, np.ndarray):
+        return moments_from_spectrum(np.linalg.eigvalsh(oracle.matrix.operand), degree)
     n = oracle.dimension
     block = max(1, min(n, max_block_elements // n))
     values = np.zeros(degree)

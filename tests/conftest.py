@@ -1,7 +1,6 @@
 """Shared fixtures and independent numerical oracles for the test suite."""
 
 import numpy as np
-import pytest
 import scipy.integrate
 
 from specden import SymmetricMatrix

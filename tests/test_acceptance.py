@@ -26,7 +26,6 @@ from specden import (
     generate_graph,
     idealized_kpm,
     jackson_coefficients,
-    moments_from_spectrum,
     noisy_oracle,
     perturbed_moments,
     sampled_matvec,

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specden
 from specden import (
     DensityEstimate,
     DiscreteSpectrum,
@@ -76,6 +81,36 @@ def test_estimate_exact_method(small_graph, tmp_path):
     assert density.metadata["construction"] == "idealized"
     manifest = json.loads((tmp_path / "exact.json.manifest.json").read_text())
     assert manifest["oracle_calls"] == 40 * 16 // 2  # N/2 per basis column
+
+
+def test_estimate_exact_method_on_dense_input(tmp_path):
+    # dense text is held densely and takes one eigensolve with no oracle
+    # calls; Matrix Market is held as CSR and takes the N/2-per-column sweep
+    diagonal = [0.5, -0.25, 0.75]
+    dense, mm = tmp_path / "m.txt", tmp_path / "m.mtx"
+    np.savetxt(dense, np.diag(diagonal))
+    mm.write_text("%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n"
+                  + "".join(f"{i} {i} {v}\n" for i, v in enumerate(diagonal, start=1)))
+    calls, coefficients = {}, {}
+    for path in (dense, mm):
+        out = tmp_path / f"{path.suffix[1:]}.json"
+        assert main(["estimate", str(path), "--method", "exact", "--degree", "16",
+                     "--output", str(out)]) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        calls[path.suffix] = manifest["oracle_calls"]
+        coefficients[path.suffix] = DensityEstimate.from_json(out.read_text()).series.coefficients
+    assert calls == {".txt": 0, ".mtx": 3 * 16 // 2}
+    np.testing.assert_allclose(coefficients[".txt"], coefficients[".mtx"], rtol=0, atol=1e-12)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(specden.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "specden", "--help"],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: specden")
 
 
 def test_estimate_graph_amv_with_tuned_budget(small_graph, tmp_path):

@@ -12,7 +12,6 @@ from specden import (
     moments_from_spectrum,
     perturbed_moments,
     w1_density_vs_spectrum,
-    DiscreteSpectrum,
 )
 from specden.chebyshev import NORM_0, ChebyshevSeries
 from specden.density import write_plot_csv

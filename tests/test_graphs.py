@@ -8,7 +8,6 @@ import pytest
 import scipy.stats
 
 from specden import (
-    DensityEstimate,
     DiscreteSpectrum,
     boosted_graph_oracle,
     dense_eigenvalues,
@@ -23,7 +22,6 @@ from specden import (
     sampled_matvec,
     save_graph,
     w1_density_vs_spectrum,
-    w1_discrete,
 )
 
 
@@ -241,11 +239,13 @@ class TestSampledMatvec:
         assert a.entries_touched == b.entries_touched
 
     def test_entries_accounting(self):
-        g = star(8)
-        y = np.ones(9)
-        rep = sampled_matvec(g, y, t=5000, seed=1)
-        assert rep.entries_touched == int(np.dot(rep.accepted_counts, g.degrees))
-        assert rep.accepted == int(rep.accepted_counts.sum())
+        # star8 accepts at least n columns (multinomial), hairyClique1000 fewer (alias)
+        hairy, _ = generate_graph("hairy-clique", n=1000)
+        for g, t, alias_path in ((star(8), 5000, False), (hairy, 2000, True)):
+            rep = sampled_matvec(g, np.ones(g.n), t=t, seed=1)
+            assert (rep.accepted < g.n) == alias_path
+            assert rep.entries_touched == int(np.dot(rep.accepted_counts, g.degrees))
+            assert rep.accepted == int(rep.accepted_counts.sum())
 
     @pytest.mark.parametrize("make,label", [(k2, "k2"), (lambda: star(8), "star8")])
     def test_variance_formula(self, make, label):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from specden import (
     MomentVector,
@@ -18,6 +19,15 @@ from specden.chebyshev import NORM_0, NORM_K, _three_term
 from specden.moments import _sweep_products, default_ell, rademacher
 
 from conftest import random_spectrum_matrix
+
+
+def _as_csr(matrix):
+    """The same matrix held as CSR, so ``exact_moments`` takes the basis sweep."""
+    return SymmetricMatrix(scipy.sparse.csr_matrix(matrix.operand))
+
+
+#: both storage types of a matrix: dense takes the eigensolve, CSR the sweep
+STORAGE_TYPES = (lambda matrix: matrix, _as_csr)
 
 
 def _sweep_products_loop(oracle, g, degree):
@@ -108,26 +118,29 @@ class TestMomentVector:
 
 class TestExactMoments:
     def test_identity_matrix(self):
-        oracle = exact_oracle(SymmetricMatrix.from_dense(np.eye(5)))
-        mv = exact_moments(oracle, 8)
-        np.testing.assert_allclose(mv.values, NORM_K, atol=1e-14)
+        for storage in STORAGE_TYPES:
+            oracle = exact_oracle(storage(SymmetricMatrix.from_dense(np.eye(5))))
+            mv = exact_moments(oracle, 8)
+            np.testing.assert_allclose(mv.values, NORM_K, atol=1e-14)
 
     def test_zero_matrix_alternation(self):
-        oracle = exact_oracle(SymmetricMatrix.from_dense(np.zeros((3, 3))))
-        mv = exact_moments(oracle, 8)
         # T_k(0) cycles 1, 0, -1, 0 starting from k=0
         expected = NORM_K * np.array([0.0, -1.0, 0.0, 1.0, 0.0, -1.0, 0.0, 1.0])
-        np.testing.assert_allclose(mv.values, expected, atol=1e-14)
+        for storage in STORAGE_TYPES:
+            oracle = exact_oracle(storage(SymmetricMatrix.from_dense(np.zeros((3, 3)))))
+            mv = exact_moments(oracle, 8)
+            np.testing.assert_allclose(mv.values, expected, atol=1e-14)
 
     def test_traceless_first_moment(self):
-        oracle = exact_oracle(SymmetricMatrix.from_dense(np.diag([1.0, -1.0])))
-        mv = exact_moments(oracle, 4)
-        assert mv.values[0] == pytest.approx(0.0, abs=1e-15)
+        for storage in STORAGE_TYPES:
+            oracle = exact_oracle(storage(SymmetricMatrix.from_dense(np.diag([1.0, -1.0]))))
+            mv = exact_moments(oracle, 4)
+            assert mv.values[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_costs_n_times_degree_calls(self):
         # an exact oracle doubles: n*N/2 block columns give all N moments
         matrix, _ = random_spectrum_matrix(7, seed=3)
-        oracle = exact_oracle(matrix)
+        oracle = exact_oracle(_as_csr(matrix))
         exact_moments(oracle, 12)
         assert oracle.calls == 7 * 12 // 2
 
@@ -139,6 +152,7 @@ class TestExactMoments:
 
     def test_blocked_sweep_matches_single_block(self):
         matrix, _ = random_spectrum_matrix(23, seed=12)
+        matrix = _as_csr(matrix)
         whole = exact_moments(exact_oracle(matrix), 8)
         chunked = exact_moments(exact_oracle(matrix), 8, max_block_elements=23 * 5)
         np.testing.assert_allclose(chunked.values, whole.values, atol=1e-13)
@@ -313,7 +327,7 @@ class TestAgainstHandLoops:
         doubled = _sweep_products(exact_oracle(matrix), g, degree)
         plain = _sweep_products_loop(exact_oracle(matrix), g, degree)
         np.testing.assert_allclose(doubled / 16, plain / 16, rtol=0, atol=1e-12)
-        oracle = exact_oracle(matrix)
+        oracle = exact_oracle(_as_csr(matrix))
         np.testing.assert_allclose(exact_moments(oracle, degree).values,
                                    _plain_exact_moments_loop(oracle, degree),
                                    rtol=0, atol=1e-12)
@@ -321,11 +335,23 @@ class TestAgainstHandLoops:
     @pytest.mark.parametrize("degree", [4, 80, 360])
     def test_exact_moments_over_two_blocks(self, degree):
         matrix, _ = random_spectrum_matrix(15, seed=degree)
+        matrix = _as_csr(matrix)
         oracle = exact_oracle(matrix)
         np.testing.assert_array_equal(
             exact_moments(oracle, degree, max_block_elements=15 * 8).values,
             _exact_moments_loop(exact_oracle(matrix), degree, 15 * 8))
         assert oracle.calls == 15 * degree // 2
+
+    @pytest.mark.parametrize("degree", [4, 80, 360])
+    def test_dense_eigensolve_matches_sparse_sweep(self, degree):
+        # one eigensolve against the doubled basis sweep of the same matrix
+        matrix, _ = random_spectrum_matrix(16, seed=degree)
+        dense, sparse = exact_oracle(matrix), exact_oracle(_as_csr(matrix))
+        np.testing.assert_allclose(exact_moments(dense, degree).values,
+                                   exact_moments(sparse, degree).values,
+                                   rtol=0, atol=1e-12)
+        assert dense.calls == 0
+        assert sparse.calls == 16 * degree // 2
 
     @pytest.mark.parametrize("degree", [4, 80, 360])
     def test_moments_from_spectrum(self, degree):
