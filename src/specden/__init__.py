@@ -58,6 +58,7 @@ from .graphs import (
     graph_from_edges,
     laplacian_reflect,
     load_graph,
+    sampled_graph_oracle,
     sampled_matvec,
     save_graph,
 )

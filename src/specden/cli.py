@@ -33,6 +33,7 @@ from .graphs import (
     exact_graph_oracle,
     generate_graph,
     load_graph,
+    sampled_graph_oracle,
     save_graph,
 )
 from .jackson import _check_degree, degree_for_accuracy, jackson_coefficients
@@ -177,6 +178,9 @@ def _resolve_ell(args) -> int:
 
 def _compute_moments(args, kind: str, loaded) -> tuple[MomentVector, dict]:
     """Shared moment-estimation core for the estimate and moments commands."""
+    if args.method == "graph-amv" and (args.samples_per_matvec is None) == (args.eps_mv is None):
+        raise ConfigError("method graph-amv needs exactly one of --samples-per-matvec "
+                          "(tuned sampler) and --eps-mv (boosted worst-case sampler)")
     degree = _resolve_degree(args)
     info: dict = {"degree": degree, "method": args.method, "scale_factor": None}
     ell = _resolve_ell(args)
@@ -221,12 +225,11 @@ def _compute_moments(args, kind: str, loaded) -> tuple[MomentVector, dict]:
     elif args.method == "graph-amv":
         if kind != "graph":
             raise ConfigError("method graph-amv needs a graph input, not a matrix")
-        eps_mv = args.eps_mv if args.eps_mv is not None else 1.0 / (4.0 * degree**4)
-        info["eps_mv"] = eps_mv
         try:
-            oracle = boosted_graph_oracle(loaded, eps_mv, args.delta,
-                                          samples=args.samples_per_matvec,
-                                          seed=args.seed)
+            if args.samples_per_matvec is not None:
+                oracle = sampled_graph_oracle(loaded, args.samples_per_matvec, seed=args.seed)
+            else:
+                oracle = boosted_graph_oracle(loaded, args.eps_mv, args.delta, seed=args.seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         moments = approx_hutchinson_moments(oracle, degree, ell, args.seed)
@@ -245,7 +248,7 @@ def _write_estimation_manifest(args, kind: str, info: dict, product: str,
     RunManifest(
         command=args.command,
         config={"method": args.method, "degree": info["degree"], "eps": args.eps,
-                "ell": info["ell"], "eps_mv": info.get("eps_mv"), "delta": args.delta,
+                "ell": info["ell"], "eps_mv": args.eps_mv, "delta": args.delta,
                 "samples_per_matvec": args.samples_per_matvec,
                 "auto_scale": args.auto_scale, "scale_factor": info["scale_factor"]},
         seeds={"seed": args.seed},
@@ -384,7 +387,7 @@ def _approx_run(graph, truth, degree, t, seed, disc_eps):
 
     Returns (w1, entries_touched, oracle_calls, density, moments, recovered).
     """
-    oracle = boosted_graph_oracle(graph, eps_mv=0.5, delta=0.49, samples=t, seed=seed)
+    oracle = sampled_graph_oracle(graph, t, seed=seed)
     moments = approx_hutchinson_moments(oracle, degree, TABLE1_ELL, seed)
     density = full_kpm(moments, jackson_coefficients(degree))
     recovered = discretize_greedy(density, truth.n, disc_eps)
@@ -576,12 +579,13 @@ def _add_estimation_flags(sub):
     sub.add_argument("--ell", default="2",
                      help="Hutchinson repetitions, or 'auto' for the theory formula")
     sub.add_argument("--eps-mv", type=float, default=None,
-                     help="oracle accuracy for graph-amv (default 1/(4 N^4))")
+                     help="oracle accuracy for graph-amv: boosted worst-case sampler "
+                          "(exclusive with --samples-per-matvec)")
     sub.add_argument("--delta", type=float, default=0.05, help="failure probability")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--samples-per-matvec", type=int, default=None,
                      help="tuned per-call sampling budget for graph-amv "
-                          "(single sampler run per matvec)")
+                          "(one sampler run per matvec; exclusive with --eps-mv)")
     sub.add_argument("--auto-scale", action="store_true",
                      help="rescale a matrix input by its estimated spectral norm")
     sub.add_argument("--format", choices=("auto", "mm", "dense", "graph"),

@@ -118,7 +118,9 @@ class GraphAccess:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
 
-def _edges_to_graph(us: np.ndarray, vs: np.ndarray, n: int) -> GraphAccess:
+def graph_from_edges(us, vs, n: int) -> GraphAccess:
+    """Graph from 0-indexed edge arrays; repeated and reversed pairs collapse
+    into one edge."""
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
     if us.size == 0:
@@ -221,8 +223,36 @@ def sampled_matvec(graph: GraphAccess, y: np.ndarray, t: int, seed) -> SampledMa
     )
 
 
+def sampled_graph_oracle(graph: GraphAccess, samples: int, seed=0) -> MatvecOracle:
+    """One sampled matvec of budget t = ``samples`` per call, with no vote.
+
+    The practical configuration, with t tuned empirically instead of set by
+    the worst-case formula. Call i runs :func:`sampled_matvec` seeded
+    ``(seed, i, 0)``. The declared ``error_bound`` is the RMS level
+    ``sqrt(n / t)`` that criterion 6 checks,
+    ``E||z - Abar y||^2 = (n ||y||^2 - ||Abar y||^2) / t <= n ||y||^2 / t``;
+    no single call is bounded.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    stats = {"entries_touched": 0, "samples_budget": samples}
+    lock = threading.Lock()
+
+    def apply_fn(y, idx):
+        report = sampled_matvec(graph, y, samples, seed=(seed, idx, 0))
+        with lock:
+            stats["entries_touched"] += report.entries_touched
+        return report.output
+
+    return MatvecOracle(
+        dimension=graph.n,
+        apply_fn=apply_fn,
+        error_bound=math.sqrt(graph.n / samples),
+        stats=stats,
+    )
+
+
 def boosted_graph_oracle(graph: GraphAccess, eps_mv: float, delta: float,
-                         samples: Optional[int] = None,
                          seed=0) -> MatvecOracle:
     """Median-style boosting of the sampled matvec into an oracle contract.
 
@@ -234,26 +264,19 @@ def boosted_graph_oracle(graph: GraphAccess, eps_mv: float, delta: float,
     candidate reaches a majority (probability <= delta) the most-agreeing one
     is returned and the call is flagged in ``stats``.
 
-    A given ``samples`` replaces that schedule with one sampler run of budget
-    t = samples per call and no vote, the practical configuration when t is
-    tuned empirically instead of set by the worst-case formula. Without it, a
-    worst-case t above ``MAX_WORST_CASE_SAMPLES`` raises ValueError.
+    A worst-case t above ``MAX_WORST_CASE_SAMPLES`` raises ValueError; a
+    tuned budget runs through :func:`sampled_graph_oracle` instead.
     """
     if not 0.0 < eps_mv < 1.0:
         raise ValueError("eps_mv must be in (0, 1)")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    if samples is None:
-        r = max(1, math.ceil(BOOST_CONSTANT * math.log(1.0 / delta)))
-        t = math.ceil(48.0 * graph.n / eps_mv**2)
-        if t > MAX_WORST_CASE_SAMPLES:
-            raise ValueError(
-                f"worst-case sampling budget t={t:.3g} per matvec is impractical; "
-                "pass samples= (tuned) or a larger eps_mv")
-    elif samples < 1:
-        raise ValueError("samples must be >= 1")
-    else:
-        r, t = 1, samples
+    r = math.ceil(BOOST_CONSTANT * math.log(1.0 / delta))
+    t = math.ceil(48.0 * graph.n / eps_mv**2)
+    if t > MAX_WORST_CASE_SAMPLES:
+        raise ValueError(
+            f"worst-case sampling budget t={t:.3g} per matvec is impractical; "
+            "use sampled_graph_oracle with a tuned budget, or a larger eps_mv")
     stats = {"entries_touched": 0, "samples_budget": t, "repetitions": r,
              "flagged_calls": 0}
     lock = threading.Lock()
@@ -263,8 +286,6 @@ def boosted_graph_oracle(graph: GraphAccess, eps_mv: float, delta: float,
                    for rep in range(r)]
         with lock:
             stats["entries_touched"] += sum(rep.entries_touched for rep in reports)
-        if r == 1:
-            return reports[0].output
         candidates = [rep.output for rep in reports]
         radius = 0.5 * eps_mv * float(np.linalg.norm(y))
         needed = r // 2 + 1
@@ -350,19 +371,14 @@ def generate_graph(kind: str, n: Optional[int] = None,
     """Build a named test graph together with its exact spectrum."""
     if kind == "clique-plus-matching":
         us, vs, spec = _clique_plus_matching(int(n))
-        return _edges_to_graph(us, vs, int(n)), DiscreteSpectrum(spec)
+        return graph_from_edges(us, vs, int(n)), DiscreteSpectrum(spec)
     if kind == "hairy-clique":
         us, vs, spec = _hairy_clique(int(n))
-        return _edges_to_graph(us, vs, int(n)), DiscreteSpectrum(spec)
+        return graph_from_edges(us, vs, int(n)), DiscreteSpectrum(spec)
     if kind == "hypercube":
         us, vs, spec = _hypercube(int(bits))
-        return _edges_to_graph(us, vs, 1 << int(bits)), DiscreteSpectrum(spec)
+        return graph_from_edges(us, vs, 1 << int(bits)), DiscreteSpectrum(spec)
     raise ValueError(f"unknown graph kind {kind!r}; expected one of {GRAPH_KINDS}")
-
-
-def graph_from_edges(us, vs, n: int) -> GraphAccess:
-    """Public constructor from 0-indexed edge arrays (deduplicated)."""
-    return _edges_to_graph(np.asarray(us), np.asarray(vs), n)
 
 
 def save_graph(graph: GraphAccess, path) -> None:
@@ -391,7 +407,7 @@ def load_graph(path) -> GraphAccess:
     if data.shape[0] != m:
         raise ValueError(f"{path}: header declares {m} edges, found {data.shape[0]}")
     us, vs = data[:, 0] - 1, data[:, 1] - 1
-    return _edges_to_graph(us, vs, n)
+    return graph_from_edges(us, vs, n)
 
 
 def laplacian_reflect(obj, remap: bool = False):

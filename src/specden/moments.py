@@ -4,11 +4,12 @@ The k-th normalized moment of a matrix A with eigenvalues in [-1, 1] is
 ``tau_k = (1/n) tr(Tbar_k(A))``. This module computes them three ways:
 exactly, stochastically with Hutchinson's estimator, and stochastically
 through an approximate matrix-vector oracle. The exact path takes one LAPACK
-eigensolve when the matrix is held densely, ``tau_k = (1/n) sum_i
-Tbar_k(lambda_i)``, and otherwise sweeps the whole standard basis through the
-matrix recurrence. Every sweep runs the one forward recurrence of
-:func:`specden.chebyshev._three_term`, ``T_k(A) g = 2 A T_{k-1}(A) g -
-T_{k-2}(A) g``, and harvests every moment from a single sweep per probe vector.
+eigensolve when the matrix is held densely (up to ``DENSE_SIZE_LIMIT``),
+``tau_k = (1/n) sum_i Tbar_k(lambda_i)``, and otherwise sweeps the whole
+standard basis through the matrix recurrence. Every sweep runs the one
+forward recurrence of :func:`specden.chebyshev._three_term`, ``T_k(A) g =
+2 A T_{k-1}(A) g - T_{k-2}(A) g``, and harvests every moment from a single
+sweep per probe vector.
 
 On an exact oracle (``error_bound == 0``) the sweep stops at v_{N/2}: the
 identities ``T_{2j} = 2 T_j^2 - T_0`` and ``T_{2j+1} = 2 T_{j+1} T_j - T_1``
@@ -34,6 +35,7 @@ import numpy as np
 from .chebyshev import NORM_0, NORM_K, _three_term
 from .jackson import _check_degree
 from .oracles import MatvecOracle
+from .spectrum import DENSE_SIZE_LIMIT, dense_eigenvalues
 
 logger = logging.getLogger(__name__)
 
@@ -197,10 +199,12 @@ def exact_moments(oracle: MatvecOracle, degree: int,
                   max_block_elements: int = 2**24) -> MomentVector:
     """Exact moments: one eigensolve for a dense matrix, else a basis sweep.
 
-    When the oracle's matrix is a dense ndarray it already takes n^2 memory,
-    so one O(n^3) ``numpy.linalg.eigvalsh`` gives every eigenvalue and
-    :func:`moments_from_spectrum` the moments, with no oracle calls. A sparse
-    matrix, or an oracle with no materialized matrix, sweeps the whole
+    When the oracle's matrix is a dense ndarray of size n <= ``DENSE_SIZE_LIMIT``
+    it already takes n^2 memory, so one O(n^3)
+    :func:`specden.spectrum.dense_eigenvalues` gives every eigenvalue and
+    :func:`moments_from_spectrum` the moments, with no oracle calls; an
+    eigenvalue outside [-1, 1] raises ValueError there. A sparse or larger
+    dense matrix, or an oracle with no materialized matrix, sweeps the whole
     standard basis instead: n*N/2 oracle calls. That basis is processed in
     column blocks (bounded by ``max_block_elements`` per work array, which
     applies to the sweep only) so memory stays flat; each block E runs the
@@ -211,9 +215,10 @@ def exact_moments(oracle: MatvecOracle, degree: int,
     if oracle.error_bound != 0.0:
         raise ValueError("exact_moments needs an exact oracle")
     _check_degree(degree)
-    if oracle.matrix is not None and isinstance(oracle.matrix.operand, np.ndarray):
-        return moments_from_spectrum(np.linalg.eigvalsh(oracle.matrix.operand), degree)
     n = oracle.dimension
+    if (oracle.matrix is not None and isinstance(oracle.matrix.operand, np.ndarray)
+            and n <= DENSE_SIZE_LIMIT):
+        return moments_from_spectrum(dense_eigenvalues(oracle.matrix).values, degree)
     block = max(1, min(n, max_block_elements // n))
     values = np.zeros(degree)
     for start in range(0, n, block):

@@ -78,8 +78,10 @@ class MatvecOracle:
     """The matrix-vector oracle contract used by every moment estimator.
 
     ``apply`` maps an n-vector to an n-vector; ``error_bound`` is the declared
-    per-call accuracy (0 for exact oracles, a worst-case radius for the noisy
-    wrapper, an RMS level for sampled graph oracles). The call counter is
+    per-call accuracy: 0 for exact oracles, a worst-case radius for the noisy
+    wrapper, a radius met with probability 1 - delta for the boosted graph
+    oracle, and the RMS level sqrt(n/t) for the sampled one. ``matrix`` is set
+    by exact oracles only, whose A is materialized. The call counter is
     thread-safe so budget accounting stays exact under concurrent use.
     ``apply_fn(y, index)`` receives the call's 0-based index, taken from that
     counter at call arrival; randomized oracles seed each call from it.
@@ -88,7 +90,7 @@ class MatvecOracle:
     dimension: int
     apply_fn: Callable[[np.ndarray, int], np.ndarray]
     error_bound: float = 0.0
-    matrix: Optional[SymmetricMatrix] = None  # set when A is materialized
+    matrix: Optional[SymmetricMatrix] = None
     calls: int = 0
     stats: dict = field(default_factory=dict)  # implementation-specific accounting
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
@@ -179,7 +181,6 @@ def noisy_oracle(matrix: SymmetricMatrix, eps_mv: float, mode: str, seed) -> Mat
         dimension=matrix.dimension,
         apply_fn=apply_fn,
         error_bound=eps_mv,
-        matrix=matrix,
     )
 
 

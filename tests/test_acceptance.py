@@ -33,7 +33,7 @@ from specden import (
     w1_density_vs_spectrum,
     w1_discrete,
 )
-from specden.chebyshev import NORM_0, NORM_K
+from specden.chebyshev import NORM_0, NORM_K, series_weighted_integral
 from specden.cli import SEARCH_FRACTIONS, main
 from specden.moments import MomentVector, _sweep_products, rademacher
 
@@ -321,6 +321,8 @@ def test_table1_manifest_counts_search_probes(table1):
 
 
 def test_criterion_10_closed_form_integral():
+    # the per-k closed form, and the series sum that densities run, on the
+    # unit series Tbar_k = NORM T_k
     rng = np.random.default_rng(10)
     count = 0
     worst = 0.0
@@ -329,14 +331,19 @@ def test_criterion_10_closed_form_integral():
         a, b = np.sort(rng.uniform(-1.0 + 1e-6, 1.0 - 1e-6, 2))
         if b - a < 1e-4:
             continue
-        gap = abs(cheb_weighted_integral(k, a, b) - quad_weighted_integral(k, a, b))
-        worst = max(worst, gap)
-        assert gap <= 1e-10, (k, a, b, gap)
+        quad = quad_weighted_integral(k, a, b)
+        unit = ChebyshevSeries(np.eye(k + 1)[k])
+        norm = NORM_0 if k == 0 else NORM_K
+        for gap in (abs(cheb_weighted_integral(k, a, b) - quad),
+                    abs(series_weighted_integral(unit, a, b) - norm * quad)):
+            worst = max(worst, gap)
+            assert gap <= 1e-10, (k, a, b, gap)
         count += 1
     # the printed form in the source derivation would give 1 here; the
     # corrected antiderivative gives 0, matching quadrature
     k2_value = cheb_weighted_integral(2, 0.0, 1.0)
     assert abs(k2_value) <= 1e-14
     _report(10, True,
-            f"200 random integrals agree with quadrature (worst {worst:.2e}); "
+            f"200 random integrals, per k and as a series, agree with quadrature "
+            f"(worst {worst:.2e}); "
             f"k=2 on [0,1] -> {k2_value:.1e}")

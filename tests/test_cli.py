@@ -122,6 +122,21 @@ def test_estimate_graph_amv_with_tuned_budget(small_graph, tmp_path):
     manifest = json.loads((tmp_path / "amv.json.manifest.json").read_text())
     assert manifest["oracle_calls"] == 12 * 2
     assert manifest["entries_touched"] > 0
+    assert manifest["config"]["eps_mv"] is None
+
+
+def test_estimate_graph_amv_with_boosted_oracle(small_graph, tmp_path):
+    # --eps-mv runs r = ceil(8 log(1/delta)) = 10 sampler runs per call of
+    # budget ceil(48 n / eps_mv^2) = 2371 each
+    gpath, _, _ = small_graph
+    dpath = tmp_path / "amv.json"
+    assert main(["estimate", str(gpath), "--method", "graph-amv", "--degree", "8",
+                 "--ell", "2", "--seed", "1", "--eps-mv", "0.9", "--delta", "0.3",
+                 "--output", str(dpath)]) == 0
+    manifest = json.loads((tmp_path / "amv.json.manifest.json").read_text())
+    assert manifest["oracle_calls"] == 8 * 2
+    assert manifest["config"]["eps_mv"] == 0.9
+    assert manifest["entries_touched"] > 0
 
 
 def test_moments_command(small_graph, tmp_path):
@@ -219,9 +234,32 @@ class TestExitCodes:
                      "--output", str(tmp_path / "o.json")]) == 3
 
     def test_impractical_amv_budget_is_3(self, small_graph, tmp_path):
+        # the worst-case budget ceil(48 n / eps_mv^2) is 1.9e11 per matvec
         gpath, _, _ = small_graph
         assert main(["estimate", str(gpath), "--method", "graph-amv", "--degree", "16",
-                     "--output", str(tmp_path / "o.json")]) == 3
+                     "--eps-mv", "1e-4", "--output", str(tmp_path / "o.json")]) == 3
+
+    @pytest.mark.parametrize("budget_flags", [
+        [], ["--samples-per-matvec", "60", "--eps-mv", "0.5"],
+    ], ids=["neither", "both"])
+    def test_amv_needs_exactly_one_budget_flag(self, budget_flags, small_graph,
+                                               tmp_path, capsys):
+        gpath, _, _ = small_graph
+        out = tmp_path / "o.json"
+        assert main(["estimate", str(gpath), "--method", "graph-amv", "--degree", "8",
+                     *budget_flags, "--output", str(out)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "--samples-per-matvec" in err and "--eps-mv" in err
+
+    def test_exact_method_on_out_of_range_matrix_is_3(self, tmp_path):
+        # the spectral-norm check refuses it before the eigensolve would
+        mat = tmp_path / "m.txt"
+        mat.write_text("1.5 0.0\n0.0 0.5\n")
+        out = tmp_path / "o.json"
+        assert main(["estimate", str(mat), "--method", "exact", "--degree", "8",
+                     "--output", str(out)]) == 3
+        assert not out.exists()
 
     def test_greedy_without_eps_is_3(self, small_graph, tmp_path):
         gpath, _, _ = small_graph
@@ -345,3 +383,13 @@ def test_budget_search_probes_below_the_cap_only(on_par_from, monkeypatch):
     assert chosen == budgets[-1 if on_par_from is None else on_par_from]
     assert probed == [t for t in budgets[:steps] for _ in range(2)]
     assert spent == {"calls": 7 * 2 * steps, "entries": 5 * 2 * steps}
+
+
+def test_experiment_table1_fixed_budget(tmp_path):
+    # --samples-per-matvec skips the budget search on every graph
+    out = tmp_path / "table1"
+    assert main(["experiment-table1", "--seeds", "1", "--samples-per-matvec", "2000",
+                 "--output", str(out)]) == 0
+    rows = json.loads((out / "table1.json").read_text())
+    assert len(rows) == len(cli.TABLE1_GRAPHS)
+    assert all(row["samples_per_matvec"] == 2000 for row in rows.values())

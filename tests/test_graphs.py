@@ -19,6 +19,7 @@ from specden import (
     laplacian_reflect,
     load_graph,
     moments_from_spectrum,
+    sampled_graph_oracle,
     sampled_matvec,
     save_graph,
     w1_density_vs_spectrum,
@@ -329,15 +330,39 @@ class TestSampledMatvec:
         assert statistics.median(times) < 0.0007, times
 
 
-class TestBoostedOracle:
-    def test_single_repetition_degenerates(self):
+class TestSampledOracle:
+    def test_one_sampler_run_per_call(self):
         g = k2()
-        oracle = boosted_graph_oracle(g, eps_mv=0.5, delta=0.49, samples=64, seed=3)
+        oracle = sampled_graph_oracle(g, samples=64, seed=3)
         y = np.array([1.0, 0.5])
         out = oracle.apply(y)
-        direct = sampled_matvec(g, y, t=64, seed=(3, 0, 0)).output
+        report = sampled_matvec(g, y, t=64, seed=(3, 0, 0))
+        np.testing.assert_array_equal(out, report.output)
+        assert oracle.stats == {"entries_touched": report.entries_touched,
+                                "samples_budget": 64}
+
+    def test_declares_rms_level(self):
+        g, _ = generate_graph("hypercube", bits=10)
+        assert sampled_graph_oracle(g, samples=9000).error_bound == math.sqrt(1024 / 9000)
+
+    def test_budget_validation(self):
+        for samples in (0, -1):
+            with pytest.raises(ValueError):
+                sampled_graph_oracle(k2(), samples=samples)
+
+
+class TestBoostedOracle:
+    def test_single_repetition_degenerates(self):
+        # delta = 0.9 gives r = ceil(8 log(1/0.9)) = 1: the vote over one
+        # candidate returns it
+        g = k2()
+        oracle = boosted_graph_oracle(g, eps_mv=0.5, delta=0.9, seed=3)
+        y = np.array([1.0, 0.5])
+        out = oracle.apply(y)
+        direct = sampled_matvec(g, y, t=math.ceil(48 * 2 / 0.25), seed=(3, 0, 0)).output
         np.testing.assert_array_equal(out, direct)
         assert oracle.stats["repetitions"] == 1
+        assert oracle.stats["flagged_calls"] == 0
 
     def test_k2_accuracy_monte_carlo(self):
         g = k2()
@@ -376,14 +401,9 @@ class TestBoostedOracle:
         for eps, delta in ((0.0, 0.1), (1.0, 0.1), (0.5, 0.0), (0.5, 1.0)):
             with pytest.raises(ValueError):
                 boosted_graph_oracle(g, eps_mv=eps, delta=delta)
-        for samples in (0, -1):
-            with pytest.raises(ValueError):
-                boosted_graph_oracle(g, eps_mv=0.5, delta=0.1, samples=samples)
-        # the worst-case budget ceil(48 n / eps_mv^2) = 9.6e9 is refused; a
-        # tuned budget at the same eps_mv is not
-        with pytest.raises(ValueError, match="samples=.*eps_mv"):
+        # the worst-case budget ceil(48 n / eps_mv^2) = 9.6e9 is refused
+        with pytest.raises(ValueError, match="sampled_graph_oracle.*eps_mv"):
             boosted_graph_oracle(g, eps_mv=1e-4, delta=0.1)
-        assert boosted_graph_oracle(g, eps_mv=1e-4, delta=0.1, samples=64).error_bound == 1e-4
 
 
 class TestLaplacianReflect:

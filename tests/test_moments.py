@@ -15,6 +15,7 @@ from specden import (
     moments_from_spectrum,
     noisy_oracle,
 )
+from specden import moments
 from specden.chebyshev import NORM_0, NORM_K, _three_term
 from specden.moments import _sweep_products, default_ell, rademacher
 
@@ -156,6 +157,20 @@ class TestExactMoments:
         whole = exact_moments(exact_oracle(matrix), 8)
         chunked = exact_moments(exact_oracle(matrix), 8, max_block_elements=23 * 5)
         np.testing.assert_allclose(chunked.values, whole.values, atol=1e-13)
+
+    def test_dense_above_size_limit_sweeps(self, monkeypatch):
+        matrix, _ = random_spectrum_matrix(12, seed=31)
+        solved = exact_moments(exact_oracle(matrix), 16)
+        monkeypatch.setattr(moments, "DENSE_SIZE_LIMIT", 11)
+        oracle = exact_oracle(matrix)
+        swept = exact_moments(oracle, 16)
+        assert oracle.calls == 12 * 16 // 2
+        np.testing.assert_allclose(swept.values, solved.values, rtol=0, atol=1e-13)
+
+    def test_dense_eigenvalue_outside_unit_interval_raises(self):
+        oracle = exact_oracle(SymmetricMatrix.from_dense(np.diag([1.5, 0.5])))
+        with pytest.raises(ValueError, match="outside"):
+            exact_moments(oracle, 8)
 
     def test_exact_values_bounded_by_basis_sup(self):
         # |tau_k| <= sqrt(2/pi) since |Tbar_k| is bounded by that on [-1, 1]
