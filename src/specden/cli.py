@@ -178,9 +178,11 @@ def _resolve_ell(args) -> int:
 
 def _compute_moments(args, kind: str, loaded) -> tuple[MomentVector, dict]:
     """Shared moment-estimation core for the estimate and moments commands."""
-    if args.method == "graph-amv" and (args.samples_per_matvec is None) == (args.eps_mv is None):
+    budgets = (args.samples_per_matvec is not None) + (args.eps_mv is not None)
+    if budgets != (args.method == "graph-amv"):
         raise ConfigError("method graph-amv needs exactly one of --samples-per-matvec "
-                          "(tuned sampler) and --eps-mv (boosted worst-case sampler)")
+                          "(tuned sampler) and --eps-mv (boosted worst-case sampler), "
+                          f"other methods neither; method {args.method} got {budgets}")
     degree = _resolve_degree(args)
     info: dict = {"degree": degree, "method": args.method, "scale_factor": None}
     ell = _resolve_ell(args)
@@ -301,7 +303,7 @@ def cmd_eval(args) -> int:
     q = _load_density(args.density)
     truth = _load_truth_spectrum(args.truth)
     try:
-        w1_continuous = w1_density_vs_spectrum(q, truth, resolution=args.grid_points)
+        w1_continuous = w1_density_vs_spectrum(q, truth)
         recovered = discretize_greedy(q, truth.n, args.disc_eps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -616,8 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--truth", required=True)
     ev.add_argument("--disc-eps", type=float, default=0.005,
                     help="grid step for the greedy discretization score")
-    ev.add_argument("--grid-points", type=int, default=10_000,
-                    help="bisection resolution for the CDF-distance score")
     ev.add_argument("--output", default=None)
     ev.set_defaults(func=cmd_eval)
 

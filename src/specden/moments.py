@@ -43,6 +43,8 @@ PROVENANCES = ("exact", "hutchinson", "hutchinson-approx")
 #: c in the repetition formula of :func:`default_ell`; 16 is an empirical
 #: calibration, not a proven value
 ELL_CONSTANT = 16.0
+#: entries per work array in exact_moments' blocked basis sweep
+MAX_BLOCK_ELEMENTS = 2**24
 
 
 @dataclass(frozen=True)
@@ -195,8 +197,7 @@ def approx_hutchinson_moments(oracle: MatvecOracle, degree: int, ell: int, seed)
     return _gather_moments(oracle, degree, ell, seed, provenance)
 
 
-def exact_moments(oracle: MatvecOracle, degree: int,
-                  max_block_elements: int = 2**24) -> MomentVector:
+def exact_moments(oracle: MatvecOracle, degree: int) -> MomentVector:
     """Exact moments: one eigensolve for a dense matrix, else a basis sweep.
 
     When the oracle's matrix is a dense ndarray of size n <= ``DENSE_SIZE_LIMIT``
@@ -206,11 +207,11 @@ def exact_moments(oracle: MatvecOracle, degree: int,
     eigenvalue outside [-1, 1] raises ValueError there. A sparse or larger
     dense matrix, or an oracle with no materialized matrix, sweeps the whole
     standard basis instead: n*N/2 oracle calls. That basis is processed in
-    column blocks (bounded by ``max_block_elements`` per work array, which
-    applies to the sweep only) so memory stays flat; each block E runs the
-    matrix recurrence to V_{N/2} and contributes its part of every trace,
-    ``2 ||V_j||_F^2 - b`` and ``2 <V_j+1, V_j>_F - <E, V_1>_F`` for its b
-    columns. Expensive for large n, by design: this is the ground-truth path.
+    column blocks (bounded by ``MAX_BLOCK_ELEMENTS`` per work array) so
+    memory stays flat; each block E runs the matrix recurrence to V_{N/2}
+    and contributes its part of every trace, ``2 ||V_j||_F^2 - b`` and
+    ``2 <V_j+1, V_j>_F - <E, V_1>_F`` for its b columns. Expensive for large
+    n, by design: this is the ground-truth path.
     """
     if oracle.error_bound != 0.0:
         raise ValueError("exact_moments needs an exact oracle")
@@ -219,7 +220,7 @@ def exact_moments(oracle: MatvecOracle, degree: int,
     if (oracle.matrix is not None and isinstance(oracle.matrix.operand, np.ndarray)
             and n <= DENSE_SIZE_LIMIT):
         return moments_from_spectrum(dense_eigenvalues(oracle.matrix).values, degree)
-    block = max(1, min(n, max_block_elements // n))
+    block = max(1, min(n, MAX_BLOCK_ELEMENTS // n))
     values = np.zeros(degree)
     for start in range(0, n, block):
         basis = np.eye(n, min(block, n - start), -start)

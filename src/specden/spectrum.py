@@ -21,8 +21,8 @@ logger = logging.getLogger(__name__)
 
 DENSE_SIZE_LIMIT = 4096
 BOUND_TOL = 1e-9
-#: discretize_optimal's boundary search stops once every slab boundary's CDF
-#: is within MASS_TOL of its target, and fails after SEARCH_STEPS steps
+#: the CDF root search (slab boundaries, W1 crossings) stops once every root's
+#: CDF is within MASS_TOL of its target, and fails after SEARCH_STEPS steps
 MASS_TOL = 1e-10
 SEARCH_STEPS = 200
 
@@ -124,26 +124,20 @@ def discretize_greedy(q, n: int, eps: float) -> DiscreteSpectrum:
     return DiscreteSpectrum(np.repeat(edges[1:], np.diff(floors, prepend=0)))
 
 
-def _slab_bounds(q, total: float, n: int) -> np.ndarray:
-    """Interior slab boundaries b_1..b_{n-1} with ``|F(b_k) - k total/n| <= MASS_TOL``.
+def _cdf_roots(q, a, b, fa, fb, targets, what: str) -> np.ndarray:
+    """One root of ``F_q(x) = t`` per bracket [a, b] with ``fa = F_q(a) - t < 0 <= fb``.
 
-    One CDF table at the n+1 equispaced nodes of [-1, 1], made nondecreasing
-    by its running maximum, brackets each target t between adjacent nodes
-    with ``F(x_{j-1}) < t <= F(x_j)``: a true sign change even where a noisy
-    density's CDF is not monotone. Batched Illinois steps (regula falsi that
-    halves the f-value of an endpoint kept twice in a row) then run on the
-    boundaries not yet within MASS_TOL, falling back to the bracket midpoint
-    whenever a point would leave its bracket.
+    Batched Illinois steps (Dowell & Jarratt, BIT 11 (1971): regula falsi that
+    halves the f-value of an endpoint kept twice in a row, or the midpoint when
+    a point would leave its bracket) run until each root is within MASS_TOL of
+    its target or its bracket is one ulp wide, as near -1 and 1, where the
+    arcsine weight can move F by more than MASS_TOL per ulp. After SEARCH_STEPS
+    steps a RuntimeError names the slowest root (``what`` k of m), its bracket
+    and its target.
     """
-    targets = total * np.arange(1, n) / n
-    nodes = np.linspace(-1.0, 1.0, n + 1)
-    cdf = np.asarray(q.cdf(nodes), dtype=float)
-    j = np.clip(np.searchsorted(np.maximum.accumulate(cdf), targets), 1, n)
-    a, b = nodes[j - 1], nodes[j]
-    fa, fb = cdf[j - 1] - targets, cdf[j] - targets
     close = np.abs(fb) <= MASS_TOL
-    bounds, err = np.where(close, b, a), np.where(close, fb, fa)
-    live = np.flatnonzero(np.abs(err) > MASS_TOL)
+    roots, err = np.where(close, b, a), np.where(close, fb, fa)
+    live = np.flatnonzero((np.abs(err) > MASS_TOL) & (np.nextafter(a, b) < b))
     a, b, fa, fb, err = (v[live] for v in (a, b, fa, fb, err))
     kept = np.zeros(live.size, dtype=int)  # +1: b was kept last step, -1: a was
     steps = 0
@@ -151,34 +145,48 @@ def _slab_bounds(q, total: float, n: int) -> np.ndarray:
         if steps == SEARCH_STEPS:
             worst = int(np.argmax(np.abs(err)))
             raise RuntimeError(
-                f"slab boundary search did not converge after {SEARCH_STEPS} "
-                f"steps: boundary {live[worst] + 1} of {n - 1}, bracket "
+                f"CDF root search did not converge after {SEARCH_STEPS} steps: "
+                f"{what} {live[worst] + 1} of {targets.size}, bracket "
                 f"[{a[worst]}, {b[worst]}], target mass {targets[live[worst]]:.12g}")
         steps += 1
         c = b - fb * (b - a) / (fb - fa)
         c = np.where((a < c) & (c < b), c, 0.5 * (a + b))
         err = np.asarray(q.cdf(c), dtype=float) - targets[live]
-        bounds[live] = c
+        roots[live] = c
         up = err > 0.0  # c replaces b and a is kept; otherwise the reverse
         fa = np.where(up, np.where(kept == -1, 0.5 * fa, fa), err)
         fb = np.where(up, err, np.where(kept == 1, 0.5 * fb, fb))
         a, b = np.where(up, a, c), np.where(up, c, b)
         kept = np.where(up, -1, 1)
-        keep = np.abs(err) > MASS_TOL
+        keep = (np.abs(err) > MASS_TOL) & (np.nextafter(a, b) < b)
         live, a, b, fa, fb, kept, err = (
             v[keep] for v in (live, a, b, fa, fb, kept, err))
-    return bounds
+    return roots
+
+
+def _slab_bounds(q, total: float, n: int) -> np.ndarray:
+    """Interior slab boundaries b_1..b_{n-1} with ``F(b_k) = k total/n`` (see ``_cdf_roots``).
+
+    One CDF table at the n+1 equispaced nodes of [-1, 1], made nondecreasing
+    by its running maximum, brackets each target t between adjacent nodes
+    with ``F(x_{j-1}) < t <= F(x_j)``: a true sign change even where a noisy
+    density's CDF is not monotone.
+    """
+    targets = total * np.arange(1, n) / n
+    nodes = np.linspace(-1.0, 1.0, n + 1)
+    cdf = np.asarray(q.cdf(nodes), dtype=float)
+    j = np.clip(np.searchsorted(np.maximum.accumulate(cdf), targets), 1, n)
+    return _cdf_roots(q, nodes[j - 1], nodes[j], cdf[j - 1] - targets, cdf[j] - targets,
+                      targets, "boundary")
 
 
 def discretize_optimal(q, n: int) -> DiscreteSpectrum:
-    """Quantile-slab conditional means: the W1-optimal n-point discretization.
+    """Quantile-slab conditional means: n points, one per slab of mass 1/n.
 
-    Each slab [t, t'] holds mass 1/n. Its interior boundaries come from one
-    CDF table on n+1 equispaced nodes, which brackets every boundary within
-    one cell, and a few batched Illinois steps against the closed-form CDF
-    on the boundaries not yet within MASS_TOL of their target mass (see
-    ``_slab_bounds``). Each emitted point is the slab's conditional mean from
-    the closed-form first moment.
+    The slab boundaries come from ``_slab_bounds``; each point is its slab's
+    conditional mean from the closed-form first moment. A mean minimizes the
+    squared distance within its slab and the slab medians would minimize W1,
+    so on a skewed density this is not the W1-optimal n-point discretization.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -192,18 +200,17 @@ def discretize_optimal(q, n: int) -> DiscreteSpectrum:
     return DiscreteSpectrum(np.clip(points, -1.0, 1.0))
 
 
-def w1_density_vs_spectrum(q, spectrum: DiscreteSpectrum, resolution: int = 10_000) -> float:
+def w1_density_vs_spectrum(q, spectrum: DiscreteSpectrum) -> float:
     """W1 between a density and a discrete spectrum via exact CDF integration.
 
     ``integral |F_q - F_spec|`` split at the eigenvalues. On each panel the
-    step CDF is constant and F_q is nondecreasing, so the difference changes
-    sign at most once; the crossing is located by bisection to a width of
-    (panel length) / resolution and the area on each side follows from the
-    closed-form integral of the CDF:
-    ``integral F_q = [x F_q(x)] - integral x q(x) dx``.
+    step CDF is constant; where F_q rises across it, ``_cdf_roots`` finds the
+    crossing, and the area on each side follows from the closed-form integral
+    of the CDF: ``integral F_q = [x F_q(x)] - integral x q(x) dx``. The score
+    is exact for ``q >= 0``, whose CDF is nondecreasing and so changes sign
+    at most once per panel. When the CDF is not monotone the score takes one
+    crossing per panel, and only on panels whose ends differ in sign.
     """
-    if resolution < 1_000:
-        raise ValueError("resolution must be >= 1000")
     lam = spectrum.values
     n = spectrum.n
     breaks = np.concatenate([[-1.0], lam, [1.0]])
@@ -226,20 +233,10 @@ def w1_density_vs_spectrum(q, spectrum: DiscreteSpectrum, resolution: int = 10_0
             - levels[plain] * (hi - lo))
     total = np.sum(np.where(h_lo[plain] >= 0.0, area, -area))
 
-    # batched bisection for the sign change inside each crossing panel
     idx = np.flatnonzero(crossing)
     if idx.size:
         lo, hi, level = breaks[:-1][idx], breaks[1:][idx], levels[idx]
-        a, b = lo.copy(), hi.copy()
-        tol = width[idx] / resolution
-        for _ in range(200):
-            if np.all(b - a <= tol):
-                break
-            mid = 0.5 * (a + b)
-            below = np.asarray(q.cdf(mid)) - level < 0.0
-            a = np.where(below, mid, a)
-            b = np.where(below, b, mid)
-        cuts = 0.5 * (a + b)
+        cuts = _cdf_roots(q, lo, hi, h_lo[idx], h_hi[idx], level, "crossing")
         f_cuts = np.asarray(q.cdf(cuts), dtype=float)
         total += np.sum(level * (cuts - lo) - cdf_integral(lo, cuts, f_vals[:-1][idx], f_cuts)
                         + cdf_integral(cuts, hi, f_cuts, f_vals[1:][idx])

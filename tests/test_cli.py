@@ -273,11 +273,10 @@ class TestExitCodes:
         ["experiment-table1", "--seeds", "0", "--output", "{out}"],
         ["estimate", "{graph}", "--method", "graph-amv", "--degree", "8",
          "--samples-per-matvec", "0", "--output", "{out}"],
-        ["eval", "--density", "{density}", "--truth", "{truth}", "--grid-points", "10"],
         ["eval", "--density", "{density}", "--truth", "{truth}", "--disc-eps", "2"],
         ["discretize", "--density", "{density}", "-n", "0", "--eps", "0.1",
          "--output", "{out}"],
-    ], ids=["seeds", "samples-per-matvec", "grid-points", "disc-eps", "discretize-n"])
+    ], ids=["seeds", "samples-per-matvec", "disc-eps", "discretize-n"])
     def test_bad_count_is_3(self, argv, small_graph, tmp_path):
         gpath, tpath, _ = small_graph
         dpath = tmp_path / "d.json"
@@ -292,7 +291,13 @@ class TestExitCodes:
         ["estimate", "{graph}", "--delta", "-1", "--degree", "8"],
         ["estimate", "{graph}", "--delta", "1", "--degree", "8"],
         ["estimate", "{graph}", "--eps", "0"],
-    ], ids=["delta-zero", "delta-negative", "delta-one", "eps-zero"])
+        ["estimate", "{graph}", "--method", "hutchinson", "--degree", "8",
+         "--samples-per-matvec", "60"],
+        ["estimate", "{graph}", "--method", "exact", "--degree", "8", "--eps-mv", "0.5"],
+        ["moments", "{graph}", "--method", "exact", "--degree", "8",
+         "--samples-per-matvec", "60"],
+    ], ids=["delta-zero", "delta-negative", "delta-one", "eps-zero",
+            "hutchinson-samples-per-matvec", "exact-eps-mv", "moments-exact-samples-per-matvec"])
     def test_bad_accuracy_flag_is_3(self, argv, small_graph, tmp_path, capsys):
         gpath, _, _ = small_graph
         paths = {"graph": gpath}
@@ -306,18 +311,28 @@ class TestExitCodes:
             main(["graph-gen", "--kind", "from-file", "--output", str(tmp_path / "g.txt")])
         assert exc.value.code == 2
 
+    def test_eval_grid_points_is_a_usage_error(self, small_graph, tmp_path):
+        # the W1 score has no resolution to set: its crossings are CDF roots
+        _, tpath, _ = small_graph
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--density", str(tmp_path / "d.json"), "--truth", str(tpath),
+                  "--grid-points", "10000"])
+        assert exc.value.code == 2
+
     def test_hypercube_zero_bits_is_3(self, tmp_path):
         assert main(["graph-gen", "--kind", "hypercube", "--bits", "0",
                      "--output", str(tmp_path / "g.txt")]) == 3
 
-    @pytest.mark.parametrize("method", ["hutchinson", "graph-amv"])
-    def test_auto_ell_past_n_points_to_exact(self, method, small_graph, tmp_path, capsys):
+    @pytest.mark.parametrize("method, budget", [
+        ("hutchinson", []), ("graph-amv", ["--samples-per-matvec", "60"]),
+    ], ids=["hutchinson", "graph-amv"])
+    def test_auto_ell_past_n_points_to_exact(self, method, budget, small_graph, tmp_path,
+                                             capsys):
         # n = 40 at N = 8: the repetition formula asks for ~1e5 probes
         gpath, _, _ = small_graph
         out = tmp_path / "o.json"
         assert main(["estimate", str(gpath), "--method", method, "--ell", "auto",
-                     "--degree", "8", "--samples-per-matvec", "60",
-                     "--output", str(out)]) == 3
+                     "--degree", "8", *budget, "--output", str(out)]) == 3
         assert not out.exists()
         assert "--method exact" in capsys.readouterr().err
 

@@ -151,11 +151,12 @@ class TestExactMoments:
         via_spectrum = moments_from_spectrum(lam, 16)
         np.testing.assert_allclose(via_oracle.values, via_spectrum.values, atol=1e-12)
 
-    def test_blocked_sweep_matches_single_block(self):
+    def test_blocked_sweep_matches_single_block(self, monkeypatch):
         matrix, _ = random_spectrum_matrix(23, seed=12)
         matrix = _as_csr(matrix)
         whole = exact_moments(exact_oracle(matrix), 8)
-        chunked = exact_moments(exact_oracle(matrix), 8, max_block_elements=23 * 5)
+        monkeypatch.setattr(moments, "MAX_BLOCK_ELEMENTS", 23 * 5)
+        chunked = exact_moments(exact_oracle(matrix), 8)
         np.testing.assert_allclose(chunked.values, whole.values, atol=1e-13)
 
     def test_dense_above_size_limit_sweeps(self, monkeypatch):
@@ -348,12 +349,13 @@ class TestAgainstHandLoops:
                                    rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("degree", [4, 80, 360])
-    def test_exact_moments_over_two_blocks(self, degree):
+    def test_exact_moments_over_two_blocks(self, degree, monkeypatch):
         matrix, _ = random_spectrum_matrix(15, seed=degree)
         matrix = _as_csr(matrix)
         oracle = exact_oracle(matrix)
+        monkeypatch.setattr(moments, "MAX_BLOCK_ELEMENTS", 15 * 8)
         np.testing.assert_array_equal(
-            exact_moments(oracle, degree, max_block_elements=15 * 8).values,
+            exact_moments(oracle, degree).values,
             _exact_moments_loop(exact_oracle(matrix), degree, 15 * 8))
         assert oracle.calls == 15 * degree // 2
 

@@ -40,6 +40,12 @@ def _kpm_density(values, degree):
     return idealized_kpm(moments_from_spectrum(values, degree), jackson_coefficients(degree))
 
 
+def _spike_at_minus_one():
+    # degree 1000: F moves more than MASS_TOL per ulp for x + 1 below ~1e-10,
+    # where the first of 256 slab boundaries lies
+    return _kpm_density(np.full(4, -1.0), 1000)
+
+
 def resample_spectrum(spectrum, m):
     """m mid-quantiles of the empirical distribution of a spectrum."""
     qs = (np.arange(m) + 0.5) / m
@@ -144,7 +150,8 @@ def _discretize_optimal_per_slab(q, n, slab_bounds=_slab_bounds):
 
 
 def _w1_density_vs_spectrum_per_panel(q, spectrum, resolution=10_000):
-    """Reference: the same batched crossing search, then one closed-form call per panel side."""
+    """Reference: bisect each crossing to (panel width) / resolution, then one
+    closed-form call per panel side."""
     n = spectrum.n
     breaks = np.concatenate([[-1.0], spectrum.values, [1.0]])
     levels = np.arange(n + 1) / n
@@ -396,6 +403,20 @@ class TestSlabBoundarySearch:
         bounds = _slab_bounds(q, total, n)
         assert np.max(np.abs(q.cdf(bounds) - total * np.arange(1, n) / n)) <= MASS_TOL
 
+    def test_search_ends_on_one_ulp_bracket(self):
+        # no float within MASS_TOL of the first target: the search ends on a
+        # one-ulp bracket around the root instead of raising after SEARCH_STEPS
+        q, n = _spike_at_minus_one(), 256
+        total = float(q.integrate(-1.0, 1.0))
+        bounds = _slab_bounds(q, total, n)
+        targets = total * np.arange(1, n) / n
+        off = np.abs(q.cdf(bounds) - targets) > MASS_TOL
+        assert off[0] and bounds[0] + 1.0 < 1e-9
+        below = q.cdf(np.nextafter(bounds[off], -2.0)) - targets[off]
+        above = q.cdf(np.nextafter(bounds[off], 2.0)) - targets[off]
+        assert np.all((below < 0.0) & (above > 0.0))
+        assert discretize_optimal(q, n).n == n
+
     def test_cdf_points_evaluated(self):
         # host-independent work count: the n+1 table plus ~2 Illinois points
         # per boundary; the bisection it replaced evaluated ~37 n points
@@ -413,7 +434,7 @@ class TestAgainstPerSlabReferences:
         np.testing.assert_allclose(discretize_optimal(q, n).values,
                                    _discretize_optimal_per_slab(q, n), rtol=0, atol=1e-12)
         assert w1_density_vs_spectrum(q, truth) == pytest.approx(
-            _w1_density_vs_spectrum_per_panel(q, truth), abs=1e-12)
+            _w1_density_vs_spectrum_per_panel(q, truth, resolution=10**9), abs=1e-12)
 
     @pytest.mark.parametrize("n, eps", [(16384, 0.005), (1000, 0.005), (7, 0.1), (1, 0.5)])
     def test_greedy_matches_fraction_chain(self, n, eps):
@@ -478,9 +499,14 @@ class TestDensityVsSpectrumDistance:
             discrete = w1_discrete(discretize_optimal(q, m), resample_spectrum(truth, m))
             assert abs(continuous - discrete) <= tol
 
-    def test_resolution_validated(self):
-        with pytest.raises(ValueError):
-            w1_density_vs_spectrum(UniformDensity(), DiscreteSpectrum(np.zeros(1)), resolution=10)
+
+    def test_crossing_on_one_ulp_bracket(self):
+        # the panel [-1, 0] at level 1/256 crosses where no float meets
+        # MASS_TOL (see TestSlabBoundarySearch); a fine bisection agrees
+        q, n = _spike_at_minus_one(), 256
+        truth = DiscreteSpectrum(np.concatenate([[-1.0], np.zeros(n - 1)]))
+        assert w1_density_vs_spectrum(q, truth) == pytest.approx(
+            _w1_density_vs_spectrum_per_panel(q, truth, resolution=10**12), abs=1e-12)
 
 
 class TestDenseEigenvalues:
