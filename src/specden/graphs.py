@@ -9,9 +9,11 @@ The simulator does not run that loop one iteration at a time. It draws the
 per-column counts of all t iterations from their exact joint distribution: the
 number of accepted iterations k from a binomial, then the k accepted columns,
 one at a time from a Walker alias table when k < n and as one multinomial
-otherwise. The per-iteration column probabilities ``p``, their sum and the
-alias table are computed once per graph. That one-time O(nnz) work, the draw
-and the final sparse product are the simulator's own work; the reported cost
+otherwise. On a regular graph the accepted column's law is uniform, so the
+k < n draw takes k uniform columns and no alias table is built. The
+per-iteration column probabilities ``p``, their sum and the alias table are
+computed once per graph. That one-time O(nnz) work, the draw and the final
+sparse product are the simulator's own work; the reported cost
 (``entries_touched``) stays the sampling loop's, one column read of d_i
 entries per accepted iteration.
 """
@@ -88,6 +90,11 @@ class GraphAccess:
         return self.column_probabilities.sum()
 
     @cached_property
+    def regular(self) -> bool:
+        """Whether every vertex has the same degree, which makes ``p`` uniform."""
+        return bool(np.all(self.degrees == self.degrees[0]))
+
+    @cached_property
     def column_alias_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Walker alias table ``(prob, alias)`` of the accepted column's law
         ``p / sum(p)``: draw j uniformly from [0, n), keep j with probability
@@ -112,10 +119,6 @@ class GraphAccess:
         for arr in table:
             arr.flags.writeable = False  # shared by every call on this graph
         return table
-
-    def neighbors(self, i: int) -> np.ndarray:
-        """All neighbors of i, read from the adjacency list."""
-        return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
 
 def graph_from_edges(us, vs, n: int) -> GraphAccess:
@@ -181,6 +184,11 @@ def sampled_matvec(graph: GraphAccess, y: np.ndarray, t: int, seed) -> SampledMa
     draws the k columns one by one from the graph's Walker alias table, in
     O(1) each, and tallies them; otherwise it draws
     ``Multinomial(k, p / sum p)``, whose cost grows with n, not with k.
+    On a regular graph (``GraphAccess.regular``) every p_i is the same float,
+    so the alias table would keep every draw: the k < n draw takes k uniform
+    columns, touches ``k d`` entries and never builds the table. That is the
+    alias draw's output bit for bit, since the uniforms it would add for the
+    keep test come last from a generator the call then discards.
     It returns ``Abar (counts * y / p) / t``. Computing ``p``, its sum and
     the alias table once per graph (``GraphAccess.column_probabilities``,
     ``GraphAccess.acceptance_probability`` and
@@ -201,12 +209,15 @@ def sampled_matvec(graph: GraphAccess, y: np.ndarray, t: int, seed) -> SampledMa
     rng = np.random.default_rng(seed)
     accepted = int(rng.binomial(t, min(total, 1.0)))
     if accepted < n:
-        prob, alias = graph.column_alias_table
         cols = rng.integers(0, n, size=accepted)
-        rejected = rng.random(accepted) >= prob[cols]
-        cols[rejected] = alias[cols[rejected]]
+        if graph.regular:
+            entries = accepted * int(graph.degrees[0])
+        else:
+            prob, alias = graph.column_alias_table
+            rejected = rng.random(accepted) >= prob[cols]
+            cols[rejected] = alias[cols[rejected]]
+            entries = int(graph.degrees[cols].sum())
         counts = np.bincount(cols, minlength=n)
-        entries = int(graph.degrees[cols].sum())
     else:
         counts = rng.multinomial(accepted, p / total)
         entries = int(np.dot(counts, graph.degrees))

@@ -203,18 +203,22 @@ def discretize_optimal(q, n: int) -> DiscreteSpectrum:
 def w1_density_vs_spectrum(q, spectrum: DiscreteSpectrum) -> float:
     """W1 between a density and a discrete spectrum via exact CDF integration.
 
-    ``integral |F_q - F_spec|`` split at the eigenvalues. On each panel the
-    step CDF is constant; where F_q rises across it, ``_cdf_roots`` finds the
-    crossing, and the area on each side follows from the closed-form integral
-    of the CDF: ``integral F_q = [x F_q(x)] - integral x q(x) dx``. The score
-    is exact for ``q >= 0``, whose CDF is nondecreasing and so changes sign
-    at most once per panel. When the CDF is not monotone the score takes one
+    ``integral |F_q - F_spec|`` split at the distinct eigenvalues: on each
+    panel the step CDF is constant, the count of eigenvalues at or below the
+    panel's left end over n. (Splitting at every eigenvalue only adds empty
+    panels at repeated values, with the same live panels and score.) Where
+    F_q rises across a panel's level, ``_cdf_roots`` finds the crossing, and
+    the area on each side follows from the closed-form integral of the CDF:
+    ``integral F_q = [x F_q(x)] - integral x q(x) dx``. The score is exact
+    for ``q >= 0``, whose CDF is nondecreasing and so changes sign at most
+    once per panel. When the CDF is not monotone the score takes one
     crossing per panel, and only on panels whose ends differ in sign.
     """
     lam = spectrum.values
     n = spectrum.n
-    breaks = np.concatenate([[-1.0], lam, [1.0]])
-    levels = np.arange(n + 1) / n  # F_spec on each panel
+    last = np.append(np.diff(lam) > 0.0, True)  # last copy of each distinct value
+    breaks = np.concatenate([[-1.0], lam[last], [1.0]])
+    levels = np.concatenate([[0], np.flatnonzero(last) + 1]) / n  # F_spec on each panel
 
     def cdf_integral(lo, hi, f_lo, f_hi):
         # integral of F_q over each panel [lo, hi]

@@ -237,7 +237,7 @@ def test_criterion_7_sublinear_accounting():
     }
     for tag, (label, graph) in enumerate(experiment_graphs.items()):
         p = np.array([
-            np.sum(1.0 / graph.degrees[graph.neighbors(i)]) / (graph.n * graph.degrees[i])
+            np.sum(1.0 / graph.degrees[graph.indices[graph.indptr[i]:graph.indptr[i + 1]]]) / (graph.n * graph.degrees[i])
             for i in range(graph.n)])
         per_iter_var = float(np.dot(graph.degrees.astype(float) ** 2, p)) - 1.0
         budget = max(10_000, math.ceil(per_iter_var * (3.0 / 0.1) ** 2))

@@ -1,4 +1,5 @@
 
+import math
 import statistics
 import time
 from fractions import Fraction
@@ -11,18 +12,24 @@ from hypothesis import strategies as st
 
 from specden import (
     DiscreteSpectrum,
+    approx_hutchinson_moments,
     dense_eigenvalues,
     discretize_greedy,
     discretize_optimal,
+    exact_graph_oracle,
+    full_kpm,
+    generate_graph,
+    hutchinson_moments,
     idealized_kpm,
     jackson_coefficients,
     moments_from_spectrum,
+    sampled_graph_oracle,
     w1_density_vs_spectrum,
     w1_discrete,
 )
 from specden.chebyshev import ChebyshevSeries
 from specden.density import DensityEstimate
-from specden.spectrum import MASS_TOL, _cell_grid, _slab_bounds
+from specden.spectrum import MASS_TOL, _cdf_roots, _cell_grid, _slab_bounds
 
 from conftest import UniformDensity, random_spectrum_matrix
 
@@ -147,6 +154,41 @@ def _discretize_optimal_per_slab(q, n, slab_bounds=_slab_bounds):
         else:
             points[j] = q.first_moment(left, right) / (total / n)
     return np.clip(points, -1.0, 1.0)
+
+
+def _w1_density_vs_spectrum_per_break(q, spectrum):
+    """Reference: the score split at every eigenvalue, repeated ones included,
+    so each copy after the first adds an empty panel; same search and sums."""
+    lam = spectrum.values
+    n = spectrum.n
+    breaks = np.concatenate([[-1.0], lam, [1.0]])
+    levels = np.arange(n + 1) / n
+
+    def cdf_integral(lo, hi, f_lo, f_hi):
+        return hi * f_hi - lo * f_lo - q.first_moment(lo, hi)
+
+    f_vals = np.asarray(q.cdf(breaks), dtype=float)
+    width = np.diff(breaks)
+    h_lo = f_vals[:-1] - levels
+    h_hi = f_vals[1:] - levels
+    live = width > 0
+    crossing = live & (h_lo < 0.0) & (h_hi > 0.0)
+
+    plain = live & ~crossing
+    lo, hi = breaks[:-1][plain], breaks[1:][plain]
+    area = (cdf_integral(lo, hi, f_vals[:-1][plain], f_vals[1:][plain])
+            - levels[plain] * (hi - lo))
+    total = np.sum(np.where(h_lo[plain] >= 0.0, area, -area))
+
+    idx = np.flatnonzero(crossing)
+    if idx.size:
+        lo, hi, level = breaks[:-1][idx], breaks[1:][idx], levels[idx]
+        cuts = _cdf_roots(q, lo, hi, h_lo[idx], h_hi[idx], level, "crossing")
+        f_cuts = np.asarray(q.cdf(cuts), dtype=float)
+        total += np.sum(level * (cuts - lo) - cdf_integral(lo, cuts, f_vals[:-1][idx], f_cuts)
+                        + cdf_integral(cuts, hi, f_cuts, f_vals[1:][idx])
+                        - level * (hi - cuts))
+    return float(total)
 
 
 def _w1_density_vs_spectrum_per_panel(q, spectrum, resolution=10_000):
@@ -318,14 +360,19 @@ class _KinkedDensity:
 
 
 class _CountingDensity:
-    """Wraps a density and counts the points its CDF is evaluated at."""
+    """Wraps a density and counts the points its CDF is evaluated at, per call
+    in ``cdf_sizes`` and in total in ``cdf_points``."""
 
     def __init__(self, q):
         self.q = q
-        self.cdf_points = 0
+        self.cdf_sizes = []
+
+    @property
+    def cdf_points(self):
+        return sum(self.cdf_sizes)
 
     def cdf(self, x):
-        self.cdf_points += np.size(x)
+        self.cdf_sizes.append(np.size(x))
         return self.q.cdf(x)
 
     def integrate(self, a, b):
@@ -509,6 +556,49 @@ class TestDensityVsSpectrumDistance:
             _w1_density_vs_spectrum_per_panel(q, truth, resolution=10**12), abs=1e-12)
 
 
+def _hypercube14_density(method):
+    graph, truth = generate_graph("hypercube", bits=14)
+    if method == "hutchinson":
+        mv = hutchinson_moments(exact_graph_oracle(graph), 80, 2, 3)
+    else:  # the sampled oracle at estimate-hc14's budget: its CDF is not monotone
+        mv = approx_hutchinson_moments(
+            sampled_graph_oracle(graph, math.ceil(0.92 * graph.nnz), seed=3), 80, 2, 3)
+    return full_kpm(mv, jackson_coefficients(80)), truth
+
+
+def _cohort_density(degree):
+    matrix, _ = random_spectrum_matrix(200, seed=1000)
+    truth = dense_eigenvalues(matrix)
+    return _kpm_density(truth.values, degree), truth
+
+
+def _clique_plus_matching_density():
+    # +-1 with multiplicity n/4 (n/4 + 1 at +1): repeats at both ends of [-1, 1]
+    _, truth = generate_graph("clique-plus-matching", n=1000)
+    return _kpm_density(truth.values, 40), truth
+
+
+class TestW1OverDistinctEigenvalues:
+    @pytest.mark.parametrize("make", [
+        lambda: _hypercube14_density("hutchinson"),
+        lambda: _hypercube14_density("sampled"),
+        lambda: _cohort_density(180),
+        lambda: _cohort_density(360),
+        _clique_plus_matching_density,
+    ], ids=["hypercube14-hutchinson", "hypercube14-sampled", "cohort-180", "cohort-360",
+            "clique-plus-matching-1000"])
+    def test_equals_split_at_every_eigenvalue(self, make):
+        q, truth = make()
+        assert w1_density_vs_spectrum(q, truth) == _w1_density_vs_spectrum_per_break(q, truth)
+
+    def test_cdf_table_has_one_point_per_distinct_eigenvalue(self):
+        # the first CDF call is the table at the breaks: -1, the 15 distinct
+        # hypercube-14 eigenvalues and 1, where every eigenvalue made 16386
+        q = _CountingDensity(_kpm_density(_hypercube14_spectrum(), 80))
+        w1_density_vs_spectrum(q, DiscreteSpectrum(_hypercube14_spectrum()))
+        assert q.cdf_sizes[0] == 17, q.cdf_sizes
+
+
 class TestDenseEigenvalues:
     def test_diagonal(self):
         out = dense_eigenvalues(np.diag([0.5, -0.25]))
@@ -519,8 +609,6 @@ class TestDenseEigenvalues:
         np.testing.assert_allclose(out.values, [-1.0, 1.0], atol=1e-12)
 
     def test_hypercube_spectrum(self):
-        from specden import generate_graph
-
         graph, truth = generate_graph("hypercube", bits=4)
         out = dense_eigenvalues(graph.norm_adjacency.toarray())
         np.testing.assert_allclose(out.values, truth.values, atol=1e-10)
