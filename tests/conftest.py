@@ -1,9 +1,36 @@
 """Shared fixtures and independent numerical oracles for the test suite."""
 
+import json
+import time
+
 import numpy as np
+import pytest
 import scipy.integrate
 
 from specden import SymmetricMatrix
+from specden.cli import main
+
+
+def run_table1(out_dir):
+    """``experiment-table1 --seed 0 --seeds 5`` into ``out_dir``.
+
+    Returns (table1.json contents, seconds taken).
+    """
+    t_start = time.perf_counter()
+    code = main(["experiment-table1", "--seed", "0", "--seeds", "5",
+                 "--output", str(out_dir)])
+    elapsed = time.perf_counter() - t_start
+    assert code == 0
+    return json.loads((out_dir / "table1.json").read_text()), elapsed
+
+
+@pytest.fixture(scope="session")
+def table1(tmp_path_factory):
+    """The three-graph experiment, run once per session and shared by the
+    acceptance criteria and the golden record."""
+    out_dir = tmp_path_factory.mktemp("table1")
+    results, elapsed = run_table1(out_dir)
+    return results, elapsed, out_dir
 
 
 def random_spectrum_matrix(n, seed, spectrum=None):

@@ -34,7 +34,7 @@ from specden import (
     w1_discrete,
 )
 from specden.chebyshev import NORM_0, NORM_K, series_weighted_integral
-from specden.cli import SEARCH_FRACTIONS, main
+from specden.cli import SEARCH_FRACTIONS
 from specden.moments import MomentVector, _sweep_products, rademacher
 
 from conftest import quad_weighted_integral, random_spectrum_matrix
@@ -259,18 +259,6 @@ def test_criterion_8_discretization(cohort):
             assert err <= 3.0 * eps
     _report(8, True,
             f"greedy recovery within 3*eps on all runs (worst at {worst:.2f} of budget)")
-
-
-@pytest.fixture(scope="session")
-def table1(tmp_path_factory):
-    out_dir = tmp_path_factory.mktemp("table1")
-    t_start = time.perf_counter()
-    code = main(["experiment-table1", "--seed", "0", "--seeds", "5",
-                 "--output", str(out_dir)])
-    elapsed = time.perf_counter() - t_start
-    assert code == 0
-    results = json.loads((out_dir / "table1.json").read_text())
-    return results, elapsed, out_dir
 
 
 def test_criterion_9_table1_reproduction(table1):
