@@ -12,6 +12,8 @@ from specden import (
     scale_to_unit_norm,
 )
 
+from specden.moments import _sweep_products, rademacher
+
 from conftest import random_spectrum_matrix
 
 
@@ -83,9 +85,108 @@ class TestNoisyApply:
     def test_oracle_sequence_reproducible(self):
         o1 = noisy_oracle(self.matrix, 0.2, "random-direction", seed=9)
         o2 = noisy_oracle(self.matrix, 0.2, "random-direction", seed=9)
+        other = noisy_oracle(self.matrix, 0.2, "random-direction", seed=10)
         for _ in range(4):
-            np.testing.assert_array_equal(o1.apply(self.y), o2.apply(self.y))
+            z = o1.apply(self.y)
+            np.testing.assert_array_equal(z, o2.apply(self.y))
+            assert not np.array_equal(z, other.apply(self.y))
         assert o1.calls == 4
+
+    @pytest.mark.parametrize("mode", ["random-direction", "adversarial-sign"])
+    def test_equals_product_plus_drawn_error(self, mode):
+        # the reference: np.linalg.norm and a fresh default_rng(seed), as
+        # noisy_apply has always drawn; a strided column as well as a
+        # contiguous vector
+        block = np.random.default_rng(3).standard_normal((20, 3))
+        for y in (self.y, block[:, 1]):
+            for seed in (0, 42, (7, 3)):
+                direction = (np.random.default_rng(seed).standard_normal(20)
+                             if mode == "random-direction" else np.sign(y))
+                radius = 0.3 * np.linalg.norm(y)
+                expected = self.matrix.matvec(y) + (radius / np.linalg.norm(direction)) * direction
+                np.testing.assert_array_equal(
+                    noisy_apply(self.matrix, y, 0.3, mode, seed=seed), expected)
+
+
+class TestNoisyOracle:
+    def setup_method(self):
+        self.matrix, _ = random_spectrum_matrix(20, seed=5)
+        self.y = np.random.default_rng(1).standard_normal(20)
+
+    def test_serial_calls_draw_one_stream(self):
+        # call k's direction is the k-th draw of one default_rng(seed)
+        oracle = noisy_oracle(self.matrix, 0.2, "random-direction", seed=9)
+        stream = np.random.default_rng(9)
+        for _ in range(4):
+            direction = stream.standard_normal(20)
+            expected = self.matrix.matvec(self.y) + (
+                0.2 * np.linalg.norm(self.y) / np.linalg.norm(direction)) * direction
+            np.testing.assert_array_equal(oracle.apply(self.y), expected)
+
+    def test_zero_radius_draws_nothing(self):
+        oracle = noisy_oracle(self.matrix, 0.2, "random-direction", seed=9)
+        np.testing.assert_array_equal(oracle.apply(np.zeros(20)), np.zeros(20))
+        np.testing.assert_array_equal(
+            oracle.apply(self.y),
+            noisy_oracle(self.matrix, 0.2, "random-direction", seed=9).apply(self.y))
+        assert oracle.calls == 2
+
+    def test_rejects_bad_arguments_when_built(self):
+        with pytest.raises(ValueError):
+            noisy_oracle(self.matrix, 1.0, "random-direction", seed=0)
+        with pytest.raises(ValueError):
+            noisy_oracle(self.matrix, 0.1, "gaussian", seed=0)
+
+    @pytest.mark.parametrize("mode", ["random-direction", "adversarial-sign"])
+    def test_every_call_of_a_sweep_has_the_exact_radius(self, mode):
+        eps = 1e-3
+        oracle = noisy_oracle(self.matrix, eps, mode, seed=4)
+        inner = oracle.apply_fn
+        errors = []
+
+        def recording(y, index):
+            z = inner(y, index)
+            errors.append(np.linalg.norm(z - self.matrix.matvec(y)) / np.linalg.norm(y))
+            return z
+
+        oracle.apply_fn = recording
+        _sweep_products(oracle, rademacher(20, seed=4), 80)
+        assert oracle.calls == len(errors) == 80
+        np.testing.assert_allclose(errors, eps, rtol=0, atol=1e-12)
+
+    def test_two_threads_draw_the_serial_set(self):
+        import sys
+        import threading
+
+        calls = 400
+        eps = 0.2
+        truth = self.matrix.matvec(self.y)
+        serial = noisy_oracle(self.matrix, eps, "random-direction", seed=12)
+        expected = np.array([serial.apply(self.y) for _ in range(2 * calls)])
+        shared = noisy_oracle(self.matrix, eps, "random-direction", seed=12)
+        outputs = [[], []]
+
+        def worker(sink):
+            for _ in range(calls):
+                sink.append(shared.apply(self.y))
+
+        threads = [threading.Thread(target=worker, args=(sink,)) for sink in outputs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert shared.calls == 2 * calls
+        got = np.array(outputs[0] + outputs[1])
+        radii = np.linalg.norm(got - truth, axis=1) / np.linalg.norm(self.y)
+        np.testing.assert_allclose(radii, eps, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(got[np.lexsort(got.T[::-1])],
+                                      expected[np.lexsort(expected.T[::-1])])
 
 
 class TestSpectralNorm:
