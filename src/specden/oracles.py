@@ -1,11 +1,13 @@
 """Matrix-vector oracles: the approximate-multiplication contract and test doubles.
 
 An oracle promises ``||z - A y|| <= error_bound * ||A|| * ||y||`` per call.
-Exact oracles have ``error_bound = 0``; the noise-injecting wrapper realizes a
+Exact oracles have ``error_bound = 0``; the noise-injecting oracle realizes a
 worst-case-style oracle with an exactly controlled error radius, which is what
-the recurrence stability tests need. Moment estimators are written once
-against :class:`MatvecOracle` and run unchanged on exact, noisy, and sampled
-graph oracles.
+the recurrence stability tests need. It seeds one generator when it is built
+and every call draws its error from that stream, in call-arrival order;
+:func:`noisy_apply` is the one-call form, seeded per call. Moment estimators
+are written once against :class:`MatvecOracle` and run unchanged on exact,
+noisy, and sampled graph oracles.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ class MatvecOracle:
     by exact oracles only, whose A is materialized. The call counter is
     thread-safe so budget accounting stays exact under concurrent use.
     ``apply_fn(y, index)`` receives the call's 0-based index, taken from that
-    counter at call arrival; randomized oracles seed each call from it.
+    counter at call arrival. The sampled graph oracle seeds each call from
+    it; the noisy oracle ignores it and draws from its one stream.
     """
 
     dimension: int

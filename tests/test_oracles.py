@@ -11,7 +11,6 @@ from specden import (
     noisy_oracle,
     scale_to_unit_norm,
 )
-
 from specden.moments import _sweep_products, rademacher
 
 from conftest import random_spectrum_matrix
@@ -95,10 +94,10 @@ class TestNoisyApply:
     @pytest.mark.parametrize("mode", ["random-direction", "adversarial-sign"])
     def test_equals_product_plus_drawn_error(self, mode):
         # the reference: np.linalg.norm and a fresh default_rng(seed), as
-        # noisy_apply has always drawn; a strided column as well as a
-        # contiguous vector
-        block = np.random.default_rng(3).standard_normal((20, 3))
-        for y in (self.y, block[:, 1]):
+        # noisy_apply has always drawn; strided columns as well as a
+        # contiguous vector, since a strided BLAS dot can round differently
+        block = np.random.default_rng(3).standard_normal((20, 8))
+        for y in (self.y, *block.T):
             for seed in (0, 42, (7, 3)):
                 direction = (np.random.default_rng(seed).standard_normal(20)
                              if mode == "random-direction" else np.sign(y))
