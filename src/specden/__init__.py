@@ -52,7 +52,6 @@ from .spectrum import (
 from .graphs import (
     GraphAccess,
     SampledMatvecReport,
-    boosted_graph_oracle,
     exact_graph_oracle,
     generate_graph,
     graph_from_edges,

@@ -15,21 +15,21 @@ import argparse
 import json
 import logging
 import math
+import os
 import sys
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from statistics import median
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .density import DensityEstimate, full_kpm, idealized_kpm, write_plot_csv
 from .graphs import (
     GRAPH_KINDS,
-    GraphAccess,
-    boosted_graph_oracle,
     exact_graph_oracle,
     generate_graph,
     load_graph,
@@ -40,7 +40,6 @@ from .jackson import _check_degree, degree_for_accuracy, jackson_coefficients
 from .moments import (
     MomentVector,
     approx_hutchinson_moments,
-    default_ell,
     exact_moments,
     hutchinson_moments,
     moments_from_spectrum,
@@ -72,6 +71,13 @@ class ConfigError(Exception):
     """Invalid configuration or flag combination; exit code 3."""
 
 
+def _environment() -> dict:
+    """The numerics a run used. The BLAS thread count changes the last bits
+    of summed products, so it is recorded as set (None when unset)."""
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
+
+
 @dataclass
 class RunManifest:
     """Reproducibility record written beside every run's output."""
@@ -84,6 +90,7 @@ class RunManifest:
     timing_seconds: float = 0.0
     oracle_calls: int = 0
     entries_touched: int = 0
+    environment: dict = field(default_factory=_environment)
 
     def write(self, path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=2) + "\n")
@@ -161,40 +168,21 @@ def _resolve_degree(args) -> int:
     raise ConfigError("one of --eps or --degree is required")
 
 
-def _resolve_ell(args) -> int:
-    if args.ell == "auto":
-        return 0  # resolved in _compute_moments by moments.default_ell
-    try:
-        ell = int(args.ell)
-    except ValueError:
-        raise ConfigError(f"--ell must be an integer or 'auto', got {args.ell!r}")
-    if ell < 1:
-        raise ConfigError("--ell must be >= 1")
-    return ell
-
-
 # ---------------------------------------------------------------------------
 # estimate / moments
 
 def _compute_moments(args, kind: str, loaded) -> tuple[MomentVector, dict]:
     """Shared moment-estimation core for the estimate and moments commands."""
-    budgets = (args.samples_per_matvec is not None) + (args.eps_mv is not None)
-    if budgets != (args.method == "graph-amv"):
-        raise ConfigError("method graph-amv needs exactly one of --samples-per-matvec "
-                          "(tuned sampler) and --eps-mv (boosted worst-case sampler), "
-                          f"other methods neither; method {args.method} got {budgets}")
+    if (args.samples_per_matvec is not None) != (args.method == "graph-amv"):
+        raise ConfigError("--samples-per-matvec is required by method graph-amv and "
+                          f"read by no other method; method {args.method}")
     degree = _resolve_degree(args)
     info: dict = {"degree": degree, "method": args.method, "scale_factor": None}
-    ell = _resolve_ell(args)
-    if not 0.0 < args.delta < 1.0:
-        raise ConfigError(f"--delta must lie in (0, 1), got {args.delta}")
+    if args.ell < 1:
+        raise ConfigError("--ell must be >= 1")
 
-    if kind == "graph":
-        graph: GraphAccess = loaded
-        n = graph.n
-    else:
+    if kind == "matrix":
         matrix: SymmetricMatrix = loaded
-        n = matrix.dimension
         if args.auto_scale:
             matrix, factor = scale_to_unit_norm(matrix, seed=args.seed)
             info["scale_factor"] = factor
@@ -206,19 +194,10 @@ def _compute_moments(args, kind: str, loaded) -> tuple[MomentVector, dict]:
                     f"spectral norm estimate {nu:.4g} exceeds 1; rerun with --auto-scale")
         loaded = matrix
 
-    if ell == 0:
-        ell = default_ell(n, degree, args.delta)
-        logger.info("ell=auto resolved to %d", ell)
-        if ell >= n and args.method != "exact":
-            raise ConfigError(
-                f"--ell auto resolved to {ell} probes for n={n}, more matvecs than "
-                "the exact trace; use --method exact")
-    info["ell"] = ell
-
     if args.method in ("exact", "hutchinson"):
         oracle = exact_graph_oracle(loaded) if kind == "graph" else exact_oracle(loaded)
         if args.method == "hutchinson":
-            moments = hutchinson_moments(oracle, degree, ell, args.seed)
+            moments = hutchinson_moments(oracle, degree, args.ell, args.seed)
         else:
             try:
                 moments = exact_moments(oracle, degree)
@@ -228,13 +207,10 @@ def _compute_moments(args, kind: str, loaded) -> tuple[MomentVector, dict]:
         if kind != "graph":
             raise ConfigError("method graph-amv needs a graph input, not a matrix")
         try:
-            if args.samples_per_matvec is not None:
-                oracle = sampled_graph_oracle(loaded, args.samples_per_matvec, seed=args.seed)
-            else:
-                oracle = boosted_graph_oracle(loaded, args.eps_mv, args.delta, seed=args.seed)
+            oracle = sampled_graph_oracle(loaded, args.samples_per_matvec, seed=args.seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        moments = approx_hutchinson_moments(oracle, degree, ell, args.seed)
+        moments = approx_hutchinson_moments(oracle, degree, args.ell, args.seed)
     else:
         raise ConfigError(f"unknown method {args.method!r}")
 
@@ -250,8 +226,7 @@ def _write_estimation_manifest(args, kind: str, info: dict, product: str,
     RunManifest(
         command=args.command,
         config={"method": args.method, "degree": info["degree"], "eps": args.eps,
-                "ell": info["ell"], "eps_mv": args.eps_mv, "delta": args.delta,
-                "samples_per_matvec": args.samples_per_matvec,
+                "ell": args.ell, "samples_per_matvec": args.samples_per_matvec,
                 "auto_scale": args.auto_scale, "scale_factor": info["scale_factor"]},
         seeds={"seed": args.seed},
         inputs={"path": args.input, "kind": kind},
@@ -425,6 +400,12 @@ def cmd_experiment_table1(args) -> int:
     t_start = time.perf_counter()
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1")
+    if args.samples_per_matvec is not None and args.samples_per_matvec < 1:
+        raise ConfigError("--samples-per-matvec must be >= 1")
+    if not 0.0 < args.disc_eps < 1.0:
+        raise ConfigError("--disc-eps must lie in (0, 1)")
+    if args.grid_points < 2:
+        raise ConfigError("--grid-points must be >= 2")
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     disc_eps = args.disc_eps
@@ -578,16 +559,12 @@ def _add_estimation_flags(sub):
                      help="target Wasserstein accuracy (sets the degree)")
     sub.add_argument("--degree", type=int, default=None,
                      help="Chebyshev degree N (multiple of 4); overrides --eps")
-    sub.add_argument("--ell", default="2",
-                     help="Hutchinson repetitions, or 'auto' for the theory formula")
-    sub.add_argument("--eps-mv", type=float, default=None,
-                     help="oracle accuracy for graph-amv: boosted worst-case sampler "
-                          "(exclusive with --samples-per-matvec)")
-    sub.add_argument("--delta", type=float, default=0.05, help="failure probability")
+    sub.add_argument("--ell", type=int, default=2,
+                     help="Hutchinson repetitions (probe vectors)")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--samples-per-matvec", type=int, default=None,
-                     help="tuned per-call sampling budget for graph-amv "
-                          "(one sampler run per matvec; exclusive with --eps-mv)")
+                     help="tuned per-call sampling budget, required by graph-amv "
+                          "(one sampler run per matvec)")
     sub.add_argument("--auto-scale", action="store_true",
                      help="rescale a matrix input by its estimated spectral norm")
     sub.add_argument("--format", choices=("auto", "mm", "dense", "graph"),

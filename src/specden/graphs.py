@@ -20,7 +20,6 @@ entries per accepted iteration.
 
 from __future__ import annotations
 
-import logging
 import math
 import threading
 from dataclasses import dataclass
@@ -35,13 +34,7 @@ from .chebyshev import ChebyshevSeries
 from .oracles import MatvecOracle, SymmetricMatrix, exact_oracle
 from .spectrum import DiscreteSpectrum
 
-logger = logging.getLogger(__name__)
-
 GRAPH_KINDS = ("clique-plus-matching", "hairy-clique", "hypercube")
-#: c in the boosted oracle's r = ceil(c log(1/delta)) repetitions per call
-BOOST_CONSTANT = 8.0
-#: largest worst-case budget ceil(48 n / eps_mv^2) the boosted oracle accepts
-MAX_WORST_CASE_SAMPLES = 10**8
 
 
 @dataclass
@@ -259,66 +252,6 @@ def sampled_graph_oracle(graph: GraphAccess, samples: int, seed=0) -> MatvecOrac
         dimension=graph.n,
         apply_fn=apply_fn,
         error_bound=math.sqrt(graph.n / samples),
-        stats=stats,
-    )
-
-
-def boosted_graph_oracle(graph: GraphAccess, eps_mv: float, delta: float,
-                         seed=0) -> MatvecOracle:
-    """Median-style boosting of the sampled matvec into an oracle contract.
-
-    Runs the sampler r = ceil(BOOST_CONSTANT log(1/delta)) times with budget
-    t = ceil(48 n / eps_mv^2) and returns the first candidate agreeing with a
-    strict majority within radius (eps_mv/2)||y||. With probability >= 1-delta
-    the result satisfies ``||z - Abar y|| <= eps_mv ||y||``. Candidate order is
-    repetition-index order; the guarantee does not depend on it. If no
-    candidate reaches a majority (probability <= delta) the most-agreeing one
-    is returned and the call is flagged in ``stats``.
-
-    A worst-case t above ``MAX_WORST_CASE_SAMPLES`` raises ValueError; a
-    tuned budget runs through :func:`sampled_graph_oracle` instead.
-    """
-    if not 0.0 < eps_mv < 1.0:
-        raise ValueError("eps_mv must be in (0, 1)")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
-    r = math.ceil(BOOST_CONSTANT * math.log(1.0 / delta))
-    t = math.ceil(48.0 * graph.n / eps_mv**2)
-    if t > MAX_WORST_CASE_SAMPLES:
-        raise ValueError(
-            f"worst-case sampling budget t={t:.3g} per matvec is impractical; "
-            "use sampled_graph_oracle with a tuned budget, or a larger eps_mv")
-    stats = {"entries_touched": 0, "samples_budget": t, "repetitions": r,
-             "flagged_calls": 0}
-    lock = threading.Lock()
-
-    def apply_fn(y, idx):
-        reports = [sampled_matvec(graph, y, t, seed=(seed, idx, rep))
-                   for rep in range(r)]
-        with lock:
-            stats["entries_touched"] += sum(rep.entries_touched for rep in reports)
-        candidates = [rep.output for rep in reports]
-        radius = 0.5 * eps_mv * float(np.linalg.norm(y))
-        needed = r // 2 + 1
-        best_idx, best_agree = 0, -1
-        for i, z_i in enumerate(candidates):
-            agree = sum(
-                1 for z_j in candidates
-                if float(np.linalg.norm(z_i - z_j)) <= radius)
-            if agree >= needed:
-                return z_i
-            if agree > best_agree:
-                best_idx, best_agree = i, agree
-        with lock:
-            stats["flagged_calls"] += 1
-        logger.warning("boosted oracle call %d found no majority candidate "
-                       "(best agreement %d of %d)", idx, best_agree, r)
-        return candidates[best_idx]
-
-    return MatvecOracle(
-        dimension=graph.n,
-        apply_fn=apply_fn,
-        error_bound=eps_mv,
         stats=stats,
     )
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
@@ -40,9 +39,6 @@ from .spectrum import DENSE_SIZE_LIMIT, dense_eigenvalues
 logger = logging.getLogger(__name__)
 
 PROVENANCES = ("exact", "hutchinson", "hutchinson-approx")
-#: c in the repetition formula of :func:`default_ell`; 16 is an empirical
-#: calibration, not a proven value
-ELL_CONSTANT = 16.0
 #: entries per work array in exact_moments' blocked basis sweep
 MAX_BLOCK_ELEMENTS = 2**24
 
@@ -94,19 +90,6 @@ class MomentVector:
             ell=obj.get("ell", 0),
             seed=obj.get("seed"),
         )
-
-
-def default_ell(n: int, degree: int, delta: float) -> int:
-    """Hutchinson repetitions for an n x n matrix at degree N:
-    ``max(1, ceil(c log^2(N/delta) / (n tol^2)))`` with ``c = ELL_CONSTANT``.
-
-    ``tol = 1/N^2`` is the per-moment accuracy at which the damped density
-    construction keeps its Wasserstein guarantee.
-    """
-    _check_degree(degree)
-    tol = 1.0 / degree**2
-    raw = ELL_CONSTANT * math.log(degree / delta) ** 2 / (n * tol**2)
-    return max(1, math.ceil(raw))
 
 
 def rademacher(n: int, seed) -> np.ndarray:

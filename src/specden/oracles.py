@@ -83,10 +83,10 @@ class MatvecOracle:
 
     ``apply`` maps an n-vector to an n-vector; ``error_bound`` is the declared
     per-call accuracy: 0 for exact oracles, a worst-case radius for the noisy
-    wrapper, a radius met with probability 1 - delta for the boosted graph
-    oracle, and the RMS level sqrt(n/t) for the sampled one. ``matrix`` is set
-    by exact oracles only, whose A is materialized. The call counter is
-    thread-safe so budget accounting stays exact under concurrent use.
+    wrapper, and the RMS level sqrt(n/t) for the sampled graph oracle.
+    ``matrix`` is set by exact oracles only, whose A is materialized. The call
+    counter is thread-safe so budget accounting stays exact under concurrent
+    use.
     ``apply_fn(y, index)`` receives the call's 0-based index, taken from that
     counter at call arrival. The sampled graph oracle seeds each call from
     it; the noisy oracle ignores it and draws from its one stream.

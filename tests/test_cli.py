@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import specden
 from specden import (
@@ -113,30 +114,22 @@ def test_python_dash_m_runs_the_cli():
     assert done.stdout.startswith("usage: specden")
 
 
-def test_estimate_graph_amv_with_tuned_budget(small_graph, tmp_path):
+def test_estimate_graph_amv_with_tuned_budget(small_graph, tmp_path, monkeypatch):
     gpath, tpath, truth = small_graph
     dpath = tmp_path / "amv.json"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     assert main(["estimate", str(gpath), "--method", "graph-amv", "--degree", "12",
                  "--ell", "2", "--seed", "1", "--samples-per-matvec", "400",
                  "--output", str(dpath)]) == 0
     manifest = json.loads((tmp_path / "amv.json.manifest.json").read_text())
     assert manifest["oracle_calls"] == 12 * 2
     assert manifest["entries_touched"] > 0
-    assert manifest["config"]["eps_mv"] is None
-
-
-def test_estimate_graph_amv_with_boosted_oracle(small_graph, tmp_path):
-    # --eps-mv runs r = ceil(8 log(1/delta)) = 10 sampler runs per call of
-    # budget ceil(48 n / eps_mv^2) = 2371 each
-    gpath, _, _ = small_graph
-    dpath = tmp_path / "amv.json"
-    assert main(["estimate", str(gpath), "--method", "graph-amv", "--degree", "8",
-                 "--ell", "2", "--seed", "1", "--eps-mv", "0.9", "--delta", "0.3",
-                 "--output", str(dpath)]) == 0
-    manifest = json.loads((tmp_path / "amv.json.manifest.json").read_text())
-    assert manifest["oracle_calls"] == 8 * 2
-    assert manifest["config"]["eps_mv"] == 0.9
-    assert manifest["entries_touched"] > 0
+    assert manifest["config"]["samples_per_matvec"] == 400
+    # the BLAS thread count moves the last bits of summed products
+    assert manifest["environment"] == {
+        "numpy": np.__version__, "scipy": scipy.__version__,
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
 
 
 def test_moments_command(small_graph, tmp_path):
@@ -233,15 +226,7 @@ class TestExitCodes:
         assert main(["estimate", str(mat), "--degree", "8",
                      "--output", str(tmp_path / "o.json")]) == 3
 
-    def test_impractical_amv_budget_is_3(self, small_graph, tmp_path):
-        # the worst-case budget ceil(48 n / eps_mv^2) is 1.9e11 per matvec
-        gpath, _, _ = small_graph
-        assert main(["estimate", str(gpath), "--method", "graph-amv", "--degree", "16",
-                     "--eps-mv", "1e-4", "--output", str(tmp_path / "o.json")]) == 3
-
-    @pytest.mark.parametrize("budget_flags", [
-        [], ["--samples-per-matvec", "60", "--eps-mv", "0.5"],
-    ], ids=["neither", "both"])
+    @pytest.mark.parametrize("budget_flags", [[]], ids=["neither"])
     def test_amv_needs_exactly_one_budget_flag(self, budget_flags, small_graph,
                                                tmp_path, capsys):
         gpath, _, _ = small_graph
@@ -249,8 +234,7 @@ class TestExitCodes:
         assert main(["estimate", str(gpath), "--method", "graph-amv", "--degree", "8",
                      *budget_flags, "--output", str(out)]) == 3
         assert not out.exists()
-        err = capsys.readouterr().err
-        assert "--samples-per-matvec" in err and "--eps-mv" in err
+        assert "--samples-per-matvec" in capsys.readouterr().err
 
     def test_exact_method_on_out_of_range_matrix_is_3(self, tmp_path):
         # the spectral-norm check refuses it before the eigensolve would
@@ -271,33 +255,35 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["experiment-table1", "--seeds", "0", "--output", "{out}"],
+        ["experiment-table1", "--seeds", "1", "--samples-per-matvec", "0",
+         "--output", "{out}"],
+        ["experiment-table1", "--seeds", "1", "--disc-eps", "2", "--output", "{out}"],
+        ["experiment-table1", "--seeds", "1", "--grid-points", "1", "--output", "{out}"],
         ["estimate", "{graph}", "--method", "graph-amv", "--degree", "8",
          "--samples-per-matvec", "0", "--output", "{out}"],
         ["eval", "--density", "{density}", "--truth", "{truth}", "--disc-eps", "2"],
         ["discretize", "--density", "{density}", "-n", "0", "--eps", "0.1",
          "--output", "{out}"],
-    ], ids=["seeds", "samples-per-matvec", "disc-eps", "discretize-n"])
+    ], ids=["seeds", "table1-samples-per-matvec", "table1-disc-eps", "table1-grid-points",
+            "samples-per-matvec", "disc-eps", "discretize-n"])
     def test_bad_count_is_3(self, argv, small_graph, tmp_path):
         gpath, tpath, _ = small_graph
         dpath = tmp_path / "d.json"
         main(["estimate", str(gpath), "--method", "exact", "--degree", "8",
               "--output", str(dpath)])
-        paths = {"graph": gpath, "truth": tpath, "density": dpath, "out": tmp_path / "out"}
+        out = tmp_path / "out"
+        paths = {"graph": gpath, "truth": tpath, "density": dpath, "out": out}
         assert main([arg.format(**paths) for arg in argv]) == 3
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("argv", [
-        ["estimate", "{graph}", "--ell", "auto", "--delta", "0", "--degree", "8"],
-        ["estimate", "{graph}", "--delta", "-1", "--degree", "8"],
-        ["estimate", "{graph}", "--delta", "1", "--degree", "8"],
         ["estimate", "{graph}", "--eps", "0"],
         ["estimate", "{graph}", "--method", "hutchinson", "--degree", "8",
          "--samples-per-matvec", "60"],
-        ["estimate", "{graph}", "--method", "exact", "--degree", "8", "--eps-mv", "0.5"],
         ["moments", "{graph}", "--method", "exact", "--degree", "8",
          "--samples-per-matvec", "60"],
-    ], ids=["delta-zero", "delta-negative", "delta-one", "eps-zero",
-            "hutchinson-samples-per-matvec", "exact-eps-mv", "moments-exact-samples-per-matvec"])
+    ], ids=["eps-zero", "hutchinson-samples-per-matvec", "moments-exact-samples-per-matvec"])
     def test_bad_accuracy_flag_is_3(self, argv, small_graph, tmp_path, capsys):
         gpath, _, _ = small_graph
         paths = {"graph": gpath}
@@ -323,25 +309,21 @@ class TestExitCodes:
         assert main(["graph-gen", "--kind", "hypercube", "--bits", "0",
                      "--output", str(tmp_path / "g.txt")]) == 3
 
-    @pytest.mark.parametrize("method, budget", [
-        ("hutchinson", []), ("graph-amv", ["--samples-per-matvec", "60"]),
-    ], ids=["hutchinson", "graph-amv"])
-    def test_auto_ell_past_n_points_to_exact(self, method, budget, small_graph, tmp_path,
-                                             capsys):
-        # n = 40 at N = 8: the repetition formula asks for ~1e5 probes
+    @pytest.mark.parametrize("flags", [
+        ["--eps-mv", "0.5"], ["--delta", "0.1"], ["--ell", "auto"],
+    ], ids=["eps-mv", "delta", "ell-auto"])
+    def test_retired_accuracy_flag_is_a_usage_error(self, flags, small_graph, tmp_path,
+                                                    capsys):
+        # the worst-case boosted sampler and the theory repetition count
+        # never ran on an input this CLI accepts
         gpath, _, _ = small_graph
         out = tmp_path / "o.json"
-        assert main(["estimate", str(gpath), "--method", method, "--ell", "auto",
-                     "--degree", "8", *budget, "--output", str(out)]) == 3
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", str(gpath), "--method", "exact", "--degree", "8", *flags,
+                  "--output", str(out)])
+        assert exc.value.code == 2
         assert not out.exists()
-        assert "--method exact" in capsys.readouterr().err
-
-
-def test_auto_ell_with_exact_method_runs(small_graph, tmp_path):
-    # the exact trace reads no probes, so a large resolved ell does not stop it
-    gpath, _, _ = small_graph
-    assert main(["estimate", str(gpath), "--method", "exact", "--ell", "auto",
-                 "--degree", "8", "--output", str(tmp_path / "o.json")]) == 0
+        assert flags[0] in capsys.readouterr().err
 
 
 def test_auto_scale_records_factor(tmp_path):

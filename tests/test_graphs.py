@@ -10,7 +10,6 @@ import scipy.stats
 from specden import (
     DiscreteSpectrum,
     GraphAccess,
-    boosted_graph_oracle,
     dense_eigenvalues,
     exact_graph_oracle,
     generate_graph,
@@ -397,61 +396,6 @@ class TestSampledOracle:
         for samples in (0, -1):
             with pytest.raises(ValueError):
                 sampled_graph_oracle(k2(), samples=samples)
-
-
-class TestBoostedOracle:
-    def test_single_repetition_degenerates(self):
-        # delta = 0.9 gives r = ceil(8 log(1/0.9)) = 1: the vote over one
-        # candidate returns it
-        g = k2()
-        oracle = boosted_graph_oracle(g, eps_mv=0.5, delta=0.9, seed=3)
-        y = np.array([1.0, 0.5])
-        out = oracle.apply(y)
-        direct = sampled_matvec(g, y, t=math.ceil(48 * 2 / 0.25), seed=(3, 0, 0)).output
-        np.testing.assert_array_equal(out, direct)
-        assert oracle.stats["repetitions"] == 1
-        assert oracle.stats["flagged_calls"] == 0
-
-    def test_k2_accuracy_monte_carlo(self):
-        g = k2()
-        oracle = boosted_graph_oracle(g, eps_mv=0.5, delta=0.05, seed=0)
-        y = np.array([1.0, 0.0])
-        truth = g.norm_adjacency @ y
-        failures = sum(
-            np.linalg.norm(oracle.apply(y) - truth) > 0.5 * np.linalg.norm(y)
-            for _ in range(200))
-        assert failures / 200 <= 0.05
-
-    def test_hypercube_accuracy(self):
-        g, _ = generate_graph("hypercube", bits=8)
-        eps = 0.6
-        oracle = boosted_graph_oracle(g, eps_mv=eps, delta=0.05, seed=4)
-        rng = np.random.default_rng(8)
-        failures = 0
-        calls = 30
-        for _ in range(calls):
-            y = rng.standard_normal(g.n)
-            y /= np.linalg.norm(y)
-            z = oracle.apply(y)
-            if np.linalg.norm(z - g.norm_adjacency @ y) > eps:
-                failures += 1
-        assert failures / calls <= 0.05
-        assert oracle.calls == calls
-
-    def test_schedule_from_delta(self):
-        g = k2()
-        oracle = boosted_graph_oracle(g, eps_mv=0.5, delta=0.05, seed=0)
-        assert oracle.stats["repetitions"] == math.ceil(8 * math.log(1 / 0.05))
-        assert oracle.stats["samples_budget"] == math.ceil(48 * 2 / 0.25)
-
-    def test_parameter_validation(self):
-        g = k2()
-        for eps, delta in ((0.0, 0.1), (1.0, 0.1), (0.5, 0.0), (0.5, 1.0)):
-            with pytest.raises(ValueError):
-                boosted_graph_oracle(g, eps_mv=eps, delta=delta)
-        # the worst-case budget ceil(48 n / eps_mv^2) = 9.6e9 is refused
-        with pytest.raises(ValueError, match="sampled_graph_oracle.*eps_mv"):
-            boosted_graph_oracle(g, eps_mv=1e-4, delta=0.1)
 
 
 class TestLaplacianReflect:
