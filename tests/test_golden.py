@@ -4,6 +4,8 @@
 
 - ``table1.json``: ``experiment-table1 --seed 0 --seeds 5`` (the session
   fixture ``table1``) and its manifest's oracle calls and entries touched.
+- ``table1_plots/``: the 15 plot CSVs of that run, as written: per graph, the
+  three density curves, the eigenvalue histogram and the moment curves.
 - ``hc14_session.json``: a CLI session on the 14-bit hypercube, the commands
   of the ``estimate-hc14`` benchmark workload at seed 0. It holds both
   densities (``estimate --method hutchinson``, and ``--method graph-amv`` at
@@ -12,7 +14,8 @@
 - ``hc14_optimal.txt``: ``discretize --method optimal`` of that session's
   Hutchinson density, one value per line.
 
-Integers, strings and flags must match exactly. Floats are compared at
+Integers, strings and flags must match exactly, and so must CSV headers and
+row counts. Floats are compared at
 ``FLOAT_ATOL``, and each test prints its largest deviation. A change that
 moves an output on purpose rewrites the record with
 ``OPENBLAS_NUM_THREADS=1 python tests/test_golden.py``, the BLAS setting CI
@@ -20,6 +23,7 @@ and the benchmark run with, and names every moved field in CHANGES.md.
 """
 
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -31,6 +35,7 @@ from specden.cli import main
 from conftest import run_table1
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+PLOTS = GOLDEN / "table1_plots"
 #: The Hutchinson sweeps take BLAS ``dot``, whose kernel can round differently
 #: on another CPU or with another thread count (two threads here move the
 #: hypercube-14 coefficients by ~1e-15 and the optimal discretization by ~6e-12).
@@ -76,6 +81,15 @@ def table1_record(results, out_dir):
     return {"table1": results, "manifest": _manifest_counts(out_dir / "manifest.json")}
 
 
+def _read_csv(path):
+    """A CSV's header and its rows, each cell an int when it reads as one
+    and a float otherwise."""
+    header, *lines = Path(path).read_text().splitlines()
+    rows = [[int(cell) if cell.lstrip("-").isdigit() else float(cell)
+             for cell in line.split(",")] for line in lines]
+    return {"header": header, "rows": rows}
+
+
 def hc14_session(work):
     """Run the hypercube-14 session in ``work``. Returns (record, optimal
     discretization values)."""
@@ -119,6 +133,15 @@ def test_table1(table1):
     _check("table1", expected, table1_record(results, out_dir))
 
 
+def test_table1_plots(table1):
+    _, _, out_dir = table1
+    names = sorted(path.name for path in PLOTS.glob("*.csv"))
+    assert len(names) == 15
+    assert sorted(path.name for path in out_dir.glob("*.csv") if path.name != "table1.csv") == names
+    _check("table1_plots", {name: _read_csv(PLOTS / name) for name in names},
+           {name: _read_csv(out_dir / name) for name in names})
+
+
 def test_hc14_session(hc14):
     record, _ = hc14
     expected = json.loads((GOLDEN / "hc14_session.json").read_text())
@@ -143,6 +166,11 @@ def write_record():
         record, values = hc14_session(tmp / "hc14")
         (GOLDEN / "table1.json").write_text(
             json.dumps(table1_record(results, tmp / "table1"), indent=1) + "\n")
+        shutil.rmtree(PLOTS, ignore_errors=True)
+        PLOTS.mkdir()
+        for path in (tmp / "table1").glob("*.csv"):
+            if path.name != "table1.csv":
+                shutil.copy(path, PLOTS)
     (GOLDEN / "hc14_session.json").write_text(json.dumps(record, indent=1) + "\n")
     (GOLDEN / "hc14_optimal.txt").write_text("\n".join(map(repr, values.tolist())) + "\n")
 
