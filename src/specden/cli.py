@@ -27,7 +27,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .density import DensityEstimate, full_kpm, idealized_kpm, write_plot_csv
+from .density import DensityEstimate, export_plot_data, full_kpm, idealized_kpm
 from .graphs import (
     GRAPH_KINDS,
     exact_graph_oracle,
@@ -131,13 +131,9 @@ def _load_input(path_str: str, fmt: str):
             return "graph", load_graph(path)
         if fmt == "mm":
             return "matrix", load_matrix_market(path)
-        if fmt == "dense":
-            return "matrix", load_dense_text(path)
-    except InputError:
-        raise
+        return "matrix", load_dense_text(path)
     except Exception as exc:
         raise InputError(f"failed to parse {path} as {fmt}: {exc}") from exc
-    raise ConfigError(f"unknown input format {fmt!r}")
 
 
 def _load_truth_spectrum(path_str: str) -> DiscreteSpectrum:
@@ -180,6 +176,8 @@ def _compute_moments(args, kind: str, loaded) -> tuple[MomentVector, dict]:
     info: dict = {"degree": degree, "method": args.method, "scale_factor": None}
     if args.ell < 1:
         raise ConfigError("--ell must be >= 1")
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
 
     if kind == "matrix":
         matrix: SymmetricMatrix = loaded
@@ -203,7 +201,7 @@ def _compute_moments(args, kind: str, loaded) -> tuple[MomentVector, dict]:
                 moments = exact_moments(oracle, degree)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-    elif args.method == "graph-amv":
+    else:  # graph-amv
         if kind != "graph":
             raise ConfigError("method graph-amv needs a graph input, not a matrix")
         try:
@@ -211,8 +209,6 @@ def _compute_moments(args, kind: str, loaded) -> tuple[MomentVector, dict]:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         moments = approx_hutchinson_moments(oracle, degree, args.ell, args.seed)
-    else:
-        raise ConfigError(f"unknown method {args.method!r}")
 
     info["oracle_calls"] = oracle.calls
     info["entries_touched"] = int(oracle.stats.get("entries_touched", 0))
@@ -339,7 +335,7 @@ def cmd_graph_gen(args) -> int:
         raise ConfigError(str(exc)) from exc
     save_graph(graph, args.output)
     print(f"wrote {args.output} (n={graph.n}, m={graph.edge_count})")
-    if args.truth_output and truth is not None:
+    if args.truth_output:
         truth.save_text(args.truth_output)
         print(f"wrote {args.truth_output}")
     return 0
@@ -355,60 +351,69 @@ TABLE1_GRAPHS = (
     ("hypercube", "hypercube", {"bits": 14}, 80),
 )
 TABLE1_ELL = 2
+TABLE1_DISC_EPS = 0.005  # greedy grid step every column is scored at
 HISTOGRAM_BINS = 11
 SEARCH_FRACTIONS = (1 / 16, 1 / 8, 1 / 4, 1 / 2, 0.92)
 
 
-def _approx_run(graph, truth, degree, t, seed, disc_eps):
-    """One tuned approximate-Hutchinson run.
+def _scored_run(oracle, estimate, truth, coeffs, seed, spent):
+    """One stochastic run: moments from ``estimate`` through ``oracle``, the
+    shifted-rescaled density, its greedy discretization and its W1 to the
+    truth. The oracle's calls and entries touched are added to ``spent``.
 
-    Returns (w1, entries_touched, oracle_calls, density, moments, recovered).
+    Returns (w1, entries touched per oracle call, (density, moments, recovered)).
     """
-    oracle = sampled_graph_oracle(graph, t, seed=seed)
-    moments = approx_hutchinson_moments(oracle, degree, TABLE1_ELL, seed)
-    density = full_kpm(moments, jackson_coefficients(degree))
-    recovered = discretize_greedy(density, truth.n, disc_eps)
-    return (w1_discrete(recovered, truth), oracle.stats["entries_touched"],
-            oracle.calls, density, moments, recovered)
+    moments = estimate(oracle, coeffs.degree, TABLE1_ELL, seed)
+    density = full_kpm(moments, coeffs)
+    recovered = discretize_greedy(density, truth.n, TABLE1_DISC_EPS)
+    entries = oracle.stats.get("entries_touched", 0)
+    spent["calls"] += oracle.calls
+    spent["entries"] += entries
+    return w1_discrete(recovered, truth), entries / oracle.calls, (density, moments, recovered)
 
 
-def _tune_samples(graph, truth, degree, disc_eps, base_seed, hutch_median, spent):
+def _approx_run(graph, truth, coeffs, t, seed, spent):
+    """One approximate-Hutchinson run through the sampled oracle at budget ``t``."""
+    return _scored_run(sampled_graph_oracle(graph, t, seed=seed), approx_hutchinson_moments,
+                       truth, coeffs, seed, spent)
+
+
+def _tune_samples(graph, truth, coeffs, base_seed, hutch_median, spent):
     """Doubling search over the per-matvec budget, capped below nnz.
 
     Doubles t until the probe median is on par with exact-matvec Hutchinson
     (within 30%, or 2 points absolute); the cap keeps the touched-entry
     fraction under one even when parity is out of reach. The cap is returned
-    whatever its probes would score, so it is never probed. The probe runs'
-    oracle calls and entries touched are added to ``spent``.
+    whatever its probes would score, so it is never probed. The probe runs
+    add their cost to ``spent``.
     """
     target = max(1.3 * hutch_median, hutch_median + 0.02)
     for frac in SEARCH_FRACTIONS[:-1]:
         t = math.ceil(frac * graph.nnz)
-        probe = []
-        for s in range(2):
-            w1, entries, calls, *_ = _approx_run(
-                graph, truth, degree, t, (base_seed, 999_331, s), disc_eps)
-            spent["calls"] += calls
-            spent["entries"] += entries
-            probe.append(w1)
+        probe = [_approx_run(graph, truth, coeffs, t, (base_seed, 999_331, s), spent)[0]
+                 for s in range(2)]
         if median(probe) <= target:
             return t
     return math.ceil(SEARCH_FRACTIONS[-1] * graph.nnz)
+
+
+def _seed_runs(run, seeds):
+    """``run(seed)`` at every seed, in order: the W1 and entries per call of
+    each run, and the first run's (density, moments, recovered) for the plots."""
+    runs = [run(seed) for seed in seeds]
+    return [w1 for w1, _, _ in runs], [entries for _, entries, _ in runs], runs[0][2]
 
 
 def cmd_experiment_table1(args) -> int:
     t_start = time.perf_counter()
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1")
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     if args.samples_per_matvec is not None and args.samples_per_matvec < 1:
         raise ConfigError("--samples-per-matvec must be >= 1")
-    if not 0.0 < args.disc_eps < 1.0:
-        raise ConfigError("--disc-eps must lie in (0, 1)")
-    if args.grid_points < 2:
-        raise ConfigError("--grid-points must be >= 2")
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
-    disc_eps = args.disc_eps
     seeds = [args.seed + 1000 * s for s in range(args.seeds)]
     results = {}
     spent = Counter()  # oracle calls and entries of every run, search probes included
@@ -420,40 +425,21 @@ def cmd_experiment_table1(args) -> int:
 
         # idealized: deterministic baseline from exact moments
         ideal_density = idealized_kpm(exact, coeffs)
-        ideal_rec = discretize_greedy(ideal_density, truth.n, disc_eps)
+        ideal_rec = discretize_greedy(ideal_density, truth.n, TABLE1_DISC_EPS)
         ideal_w1 = w1_discrete(ideal_rec, truth)
+        plots = {"idealized": (ideal_density, exact, ideal_rec)}
 
-        # Hutchinson with exact matvecs; the first seed's run is plotted
-        hutch_w1 = []
-        hutch_first = None
-        for seed in seeds:
-            oracle = exact_graph_oracle(graph)
-            mom = hutchinson_moments(oracle, degree, TABLE1_ELL, seed)
-            spent["calls"] += oracle.calls
-            density = full_kpm(mom, coeffs)
-            rec = discretize_greedy(density, truth.n, disc_eps)
-            if hutch_first is None:
-                hutch_first = (density, mom, rec)
-            hutch_w1.append(w1_discrete(rec, truth))
-
-        # approximate Hutchinson through the sampled oracle
+        # Hutchinson with exact matvecs, then approximate Hutchinson through
+        # the sampled oracle at a searched or given budget
+        hutch_w1, _, plots["hutchinson"] = _seed_runs(
+            lambda seed: _scored_run(exact_graph_oracle(graph), hutchinson_moments,
+                                     truth, coeffs, seed, spent), seeds)
         if args.samples_per_matvec is not None:
             t_budget = args.samples_per_matvec
         else:
-            t_budget = _tune_samples(graph, truth, degree, disc_eps, args.seed,
-                                     median(hutch_w1), spent)
-        approx_w1 = []
-        approx_entries = []
-        approx_first = None
-        for seed in seeds:
-            w1, entries, calls, density, mom, rec = _approx_run(
-                graph, truth, degree, t_budget, seed, disc_eps)
-            spent["calls"] += calls
-            spent["entries"] += entries
-            approx_w1.append(w1)
-            approx_entries.append(entries / calls)
-            if approx_first is None:
-                approx_first = (density, mom, rec)
+            t_budget = _tune_samples(graph, truth, coeffs, args.seed, median(hutch_w1), spent)
+        approx_w1, approx_entries, plots["approx"] = _seed_runs(
+            lambda seed: _approx_run(graph, truth, coeffs, t_budget, seed, spent), seeds)
 
         mean_entries_per_matvec = float(np.mean(approx_entries))
         results[label] = {
@@ -472,21 +458,28 @@ def cmd_experiment_table1(args) -> int:
             "entries_fraction_of_dense": mean_entries_per_matvec / graph.n**2,
         }
 
-        # plot data: density curves, eigenvalue histograms, moment curves
-        hutch_density, hutch_moments, hutch_rec = hutch_first
-        approx_density, approx_moments, approx_rec = approx_first
-        for name, density in (("idealized", ideal_density),
-                              ("hutchinson", hutch_density),
-                              ("approx", approx_density)):
-            write_plot_csv(out_dir / f"{label}_density_{name}.csv", density,
-                           grid_points=args.grid_points)
-        _write_histogram_csv(out_dir / f"{label}_eig_histogram.csv", truth, {
-            "idealized": ideal_rec,
-            "hutchinson": hutch_rec,
-            "approx": approx_rec,
+        # plot data: density curves, eigenvalue histograms over HISTOGRAM_BINS
+        # equal cells of [-1, 1] as mass fractions, moment curves
+        for name, (density, _, _) in plots.items():
+            _write_csv(out_dir / f"{label}_density_{name}.csv",
+                       dict(zip(("x", "q"), export_plot_data(density))))
+        edges = np.linspace(-1.0, 1.0, HISTOGRAM_BINS + 1)
+        spectra = {"true": truth, **{name: recovered for name, (_, _, recovered) in plots.items()}}
+        _write_csv(out_dir / f"{label}_eig_histogram.csv", {
+            "bin_lo": edges[:-1],
+            "bin_hi": edges[1:],
+            **{name: np.histogram(s.values, bins=edges)[0] / s.n for name, s in spectra.items()},
         })
-        _write_moments_csv(out_dir / f"{label}_moments.csv", coeffs, exact,
-                           hutch_moments, approx_moments)
+        taus = {"exact": exact.values,
+                "hutchinson": plots["hutchinson"][1].values,
+                "approx": plots["approx"][1].values}
+        ratios = coeffs.ratios[1:]
+        _write_csv(out_dir / f"{label}_moments.csv", {
+            "k": np.arange(1, degree + 1),
+            "jackson_ratio": ratios,
+            **{f"tau_{name}": tau for name, tau in taus.items()},
+            **{f"damped_{name}": ratios * tau for name, tau in taus.items()},
+        })
 
     (out_dir / "table1.json").write_text(json.dumps(results, indent=2) + "\n")
     with open(out_dir / "table1.csv", "w") as fh:
@@ -499,9 +492,7 @@ def cmd_experiment_table1(args) -> int:
                      f"{row['entries_fraction_of_dense']:.8f}\n")
     manifest = RunManifest(
         command="experiment-table1",
-        config={"seeds": args.seeds, "disc_eps": disc_eps,
-                "samples_per_matvec": args.samples_per_matvec,
-                "grid_points": args.grid_points},
+        config={"seeds": args.seeds, "samples_per_matvec": args.samples_per_matvec},
         seeds={"seed": args.seed, "per_run": seeds},
         inputs={"graphs": [g[0] for g in TABLE1_GRAPHS]},
         outputs={"dir": str(out_dir)},
@@ -518,35 +509,14 @@ def cmd_experiment_table1(args) -> int:
     return 0
 
 
-def _write_histogram_csv(path, truth: DiscreteSpectrum, recovered: dict) -> None:
-    """Eigenvalue histograms over HISTOGRAM_BINS equal cells of [-1, 1], as mass fractions."""
-    edges = np.linspace(-1.0, 1.0, HISTOGRAM_BINS + 1)
-    columns = {"true": truth, **recovered}
-    masses = {}
-    for name, spectrum in columns.items():
-        hist, _ = np.histogram(spectrum.values, bins=edges)
-        masses[name] = hist / spectrum.n
+def _write_csv(path, columns: dict) -> None:
+    """A header line of the column names, then one row per entry of the
+    equal-length columns, each value the ``repr`` of its Python scalar."""
+    rows = zip(*(np.asarray(values).tolist() for values in columns.values()))
     with open(path, "w") as fh:
-        fh.write("bin_lo,bin_hi," + ",".join(masses) + "\n")
-        for b in range(HISTOGRAM_BINS):
-            row = ",".join(repr(float(masses[name][b])) for name in masses)
-            fh.write(f"{float(edges[b])!r},{float(edges[b + 1])!r},{row}\n")
-
-
-def _write_moments_csv(path, coeffs, exact: MomentVector, hutch: MomentVector,
-                       approx: MomentVector) -> None:
-    """Moment curves and their damped counterparts (figure analogues)."""
-    ratios = coeffs.ratios
-    with open(path, "w") as fh:
-        fh.write("k,jackson_ratio,tau_exact,tau_hutchinson,tau_approx,"
-                 "damped_exact,damped_hutchinson,damped_approx\n")
-        for k in range(1, exact.degree + 1):
-            te = float(exact.values[k - 1])
-            th = float(hutch.values[k - 1])
-            ta = float(approx.values[k - 1])
-            r = float(ratios[k])
-            fh.write(f"{k},{r!r},{te!r},{th!r},{ta!r},"
-                     f"{r * te!r},{r * th!r},{r * ta!r}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -621,10 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--seed", type=int, default=0)
     exp.add_argument("--seeds", type=int, default=5,
                      help="number of seeds for the stochastic methods")
-    exp.add_argument("--disc-eps", type=float, default=0.005)
     exp.add_argument("--samples-per-matvec", type=int, default=None,
                      help="fixed sampling budget (skips the doubling search)")
-    exp.add_argument("--grid-points", type=int, default=512)
     exp.add_argument("--output", required=True, help="output directory")
     exp.set_defaults(func=cmd_experiment_table1)
     return parser

@@ -150,14 +150,6 @@ def export_plot_data(q: DensityEstimate,
     return xs, q.evaluate(xs)
 
 
-def write_plot_csv(path, q: DensityEstimate, grid_points: int = 512) -> None:
-    xs, ys = export_plot_data(q, grid_points)
-    with open(path, "w") as fh:
-        fh.write("x,q\n")
-        for x, y in zip(xs, ys):
-            fh.write(f"{float(x)!r},{float(y)!r}\n")
-
-
 def perturbed_moments(moments: MomentVector, magnitude: float,
                       signs: Optional[np.ndarray] = None, seed=None) -> MomentVector:
     """Moment vector with each tau_k (k >= 1) moved by +-magnitude.

@@ -257,15 +257,16 @@ class TestExitCodes:
         ["experiment-table1", "--seeds", "0", "--output", "{out}"],
         ["experiment-table1", "--seeds", "1", "--samples-per-matvec", "0",
          "--output", "{out}"],
-        ["experiment-table1", "--seeds", "1", "--disc-eps", "2", "--output", "{out}"],
-        ["experiment-table1", "--seeds", "1", "--grid-points", "1", "--output", "{out}"],
+        ["experiment-table1", "--seed", "-1", "--seeds", "1", "--samples-per-matvec", "100",
+         "--output", "{out}"],
         ["estimate", "{graph}", "--method", "graph-amv", "--degree", "8",
          "--samples-per-matvec", "0", "--output", "{out}"],
+        ["estimate", "{graph}", "--degree", "8", "--seed", "-1", "--output", "{out}"],
         ["eval", "--density", "{density}", "--truth", "{truth}", "--disc-eps", "2"],
         ["discretize", "--density", "{density}", "-n", "0", "--eps", "0.1",
          "--output", "{out}"],
-    ], ids=["seeds", "table1-samples-per-matvec", "table1-disc-eps", "table1-grid-points",
-            "samples-per-matvec", "disc-eps", "discretize-n"])
+    ], ids=["seeds", "table1-samples-per-matvec", "table1-seed", "samples-per-matvec",
+            "estimate-seed", "disc-eps", "discretize-n"])
     def test_bad_count_is_3(self, argv, small_graph, tmp_path):
         gpath, tpath, _ = small_graph
         dpath = tmp_path / "d.json"
@@ -296,6 +297,17 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["graph-gen", "--kind", "from-file", "--output", str(tmp_path / "g.txt")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags", [["--disc-eps", "0.01"], ["--grid-points", "64"]],
+                             ids=["disc-eps", "grid-points"])
+    def test_table1_fixed_setting_is_a_usage_error(self, flags, tmp_path, capsys):
+        # table1 scores at greedy eps TABLE1_DISC_EPS and plots 512-point curves
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment-table1", "--seeds", "1", *flags, "--output", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert flags[0] in capsys.readouterr().err
 
     def test_eval_grid_points_is_a_usage_error(self, small_graph, tmp_path):
         # the W1 score has no resolution to set: its crossings are CDF roots
@@ -368,14 +380,16 @@ def test_budget_search_probes_below_the_cap_only(on_par_from, monkeypatch):
     budgets = [math.ceil(frac * graph.nnz) for frac in SEARCH_FRACTIONS]
     probed = []
 
-    def run(graph, truth, degree, t, seed, disc_eps):
+    def run(graph, truth, coeffs, t, seed, spent):
         probed.append(t)
+        spent["calls"] += 7
+        spent["entries"] += 5
         on_par = on_par_from is not None and t >= budgets[on_par_from]
-        return 0.0 if on_par else 1.0, 5, 7, None, None, None
+        return 0.0 if on_par else 1.0, 5 / 7, None
 
     monkeypatch.setattr(cli, "_approx_run", run)
     spent = Counter()
-    chosen = cli._tune_samples(graph, truth, 8, 0.005, 0, 0.01, spent)
+    chosen = cli._tune_samples(graph, truth, jackson_coefficients(8), 0, 0.01, spent)
     steps = len(SEARCH_FRACTIONS) - 1 if on_par_from is None else on_par_from + 1
     assert chosen == budgets[-1 if on_par_from is None else on_par_from]
     assert probed == [t for t in budgets[:steps] for _ in range(2)]

@@ -14,7 +14,7 @@ from specden import (
     w1_density_vs_spectrum,
 )
 from specden.chebyshev import NORM_0, ChebyshevSeries
-from specden.density import write_plot_csv
+from specden.cli import _write_csv
 from specden.moments import MomentVector
 
 from conftest import random_spectrum_matrix
@@ -152,7 +152,7 @@ class TestPlotData:
     def test_csv_export(self, tmp_path):
         q = _delta_density(0.0, 16)
         path = tmp_path / "density.csv"
-        write_plot_csv(path, q, grid_points=32)
+        _write_csv(path, dict(zip(("x", "q"), export_plot_data(q, grid_points=32))))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x,q"
         assert len(lines) == 33
