@@ -172,6 +172,9 @@ def _compute_moments(args, kind: str, loaded) -> tuple[MomentVector, dict]:
     if (args.samples_per_matvec is not None) != (args.method == "graph-amv"):
         raise ConfigError("--samples-per-matvec is required by method graph-amv and "
                           f"read by no other method; method {args.method}")
+    if args.auto_scale and kind == "graph":
+        raise ConfigError("--auto-scale rescales a matrix input; a graph's normalized "
+                          "adjacency has norm 1 already")
     degree = _resolve_degree(args)
     info: dict = {"degree": degree, "method": args.method, "scale_factor": None}
     if args.ell < 1:

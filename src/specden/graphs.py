@@ -16,6 +16,8 @@ computed once per graph. That one-time O(nnz) work, the draw and the final
 sparse product are the simulator's own work; the reported cost
 (``entries_touched``) stays the sampling loop's, one column read of d_i
 entries per accepted iteration.
+
+``scipy.sparse`` loads on the first sparse build, in :func:`graph_from_edges`.
 """
 
 from __future__ import annotations
@@ -24,15 +26,17 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.sparse
 
 from .density import DensityEstimate
 from .chebyshev import ChebyshevSeries
 from .oracles import MatvecOracle, SymmetricMatrix, exact_oracle
 from .spectrum import DiscreteSpectrum
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 GRAPH_KINDS = ("clique-plus-matching", "hairy-clique", "hypercube")
 
@@ -48,7 +52,7 @@ class GraphAccess:
 
     n: int
     degrees: np.ndarray
-    norm_adjacency: scipy.sparse.csr_matrix
+    norm_adjacency: csr_matrix
 
     @property
     def indptr(self) -> np.ndarray:
@@ -117,6 +121,8 @@ class GraphAccess:
 def graph_from_edges(us, vs, n: int) -> GraphAccess:
     """Graph from 0-indexed edge arrays; repeated and reversed pairs collapse
     into one edge."""
+    import scipy.sparse
+
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
     if us.size == 0:

@@ -8,6 +8,8 @@ and every call draws its error from that stream, in call-arrival order;
 :func:`noisy_apply` is the one-call form, seeded per call. Moment estimators
 are written once against :class:`MatvecOracle` and run unchanged on exact,
 noisy, and sampled graph oracles.
+
+``scipy.sparse`` and ``scipy.io`` load on the first sparse build or ``.mtx`` read.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ import contextlib
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
-import scipy.io
-import scipy.sparse
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 
 @dataclass
@@ -33,7 +36,7 @@ class SymmetricMatrix:
     regardless of how the source data was produced.
     """
 
-    operand: np.ndarray | scipy.sparse.csr_matrix
+    operand: np.ndarray | csr_matrix
 
     @classmethod
     def from_dense(cls, arr) -> "SymmetricMatrix":
@@ -47,6 +50,8 @@ class SymmetricMatrix:
     @classmethod
     def from_coo(cls, rows, cols, vals, n) -> "SymmetricMatrix":
         """Build from coordinate data; only the lower triangle of the input is used."""
+        import scipy.sparse
+
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=float)
@@ -69,9 +74,9 @@ class SymmetricMatrix:
         return self.operand @ y
 
     def to_dense(self) -> np.ndarray:
-        if scipy.sparse.issparse(self.operand):
-            return self.operand.toarray()
-        return self.operand
+        if isinstance(self.operand, np.ndarray):
+            return self.operand
+        return self.operand.toarray()
 
     def scaled(self, factor: float) -> "SymmetricMatrix":
         return SymmetricMatrix(self.operand * factor)
@@ -254,6 +259,9 @@ def load_matrix_market(path) -> SymmetricMatrix:
     The reader expands symmetric storage itself; symmetry of the result is
     enforced by re-mirroring the lower triangle.
     """
+    import scipy.io
+    import scipy.sparse
+
     mat = scipy.io.mmread(path)
     mat = scipy.sparse.coo_matrix(mat)
     if mat.shape[0] != mat.shape[1]:

@@ -104,14 +104,72 @@ def test_estimate_exact_method_on_dense_input(tmp_path):
     np.testing.assert_allclose(coefficients[".txt"], coefficients[".mtx"], rtol=0, atol=1e-12)
 
 
-def test_python_dash_m_runs_the_cli():
+def _fresh_interpreter(*args, cwd=None):
+    """Run ``python *args`` in a new process that imports this checkout's specden."""
     src = str(Path(specden.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "specden", "--help"],
-                          env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+                          cwd=cwd, capture_output=True, text=True, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    done = _fresh_interpreter("-m", "specden", "--help")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: specden")
+
+
+# Runs the CLI on its arguments (none: only imports specden), then prints
+# which of scipy's sparse modules the process loaded as its last line.
+LOADED_SPARSE_MODULES = """
+import json, sys
+import specden
+if sys.argv[1:]:
+    from specden.cli import main
+    assert main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m for m in ("scipy.io", "scipy.sparse") if m in sys.modules)))
+"""
+
+
+@pytest.fixture()
+def start_up_inputs(tmp_path):
+    """A small dense text matrix, its density and spectrum, a graph and a
+    Matrix Market file, written in this process."""
+    dense = np.array([[0.5, 0.1, 0.0], [0.1, -0.3, 0.2], [0.0, 0.2, 0.1]])
+    np.savetxt(tmp_path / "m.txt", dense)
+    DiscreteSpectrum(np.linalg.eigvalsh(dense)).save_text(tmp_path / "m_spectrum.txt")
+    assert main(["estimate", str(tmp_path / "m.txt"), "--method", "exact", "--degree", "8",
+                 "--output", str(tmp_path / "m_density.json")]) == 0
+    from specden import save_graph
+
+    save_graph(generate_graph("hypercube", bits=3)[0], tmp_path / "g.txt")
+    (tmp_path / "m.mtx").write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                                    "2 2 2\n1 1 0.5\n2 2 -0.25\n")
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv, loads", [
+    ([], []),
+    (["eval", "--density", "m_density.json", "--truth", "m_spectrum.txt"], []),
+    (["discretize", "--density", "m_density.json", "-n", "3", "--method", "optimal",
+      "--output", "eigs.txt"], []),
+    (["estimate", "m.txt", "--method", "exact", "--degree", "8", "--output", "e.json"], []),
+    (["estimate", "m.txt", "--method", "hutchinson", "--degree", "8", "--output", "h.json"],
+     []),
+    # positive controls: a sparse build loads scipy.sparse, an .mtx read scipy.io
+    (["graph-gen", "--kind", "hypercube", "--bits", "3", "--output", "gen.txt"],
+     ["scipy.sparse"]),
+    (["estimate", "g.txt", "--method", "hutchinson", "--degree", "8", "--output", "g.json"],
+     ["scipy.sparse"]),
+    (["estimate", "m.mtx", "--method", "exact", "--degree", "8", "--output", "mm.json"],
+     ["scipy.io", "scipy.sparse"]),
+], ids=["import", "eval", "discretize-optimal", "dense-exact", "dense-hutchinson",
+        "graph-gen", "graph-estimate", "mtx-estimate"])
+def test_scipy_sparse_loads_only_with_a_sparse_input(argv, loads, start_up_inputs):
+    # dense inputs, eval and discretize build no sparse matrix, so a fresh
+    # process that runs one of them never pays for importing scipy.sparse
+    done = _fresh_interpreter("-c", LOADED_SPARSE_MODULES, *argv, cwd=start_up_inputs)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == loads
 
 
 def test_estimate_graph_amv_with_tuned_budget(small_graph, tmp_path, monkeypatch):
@@ -284,7 +342,9 @@ class TestExitCodes:
          "--samples-per-matvec", "60"],
         ["moments", "{graph}", "--method", "exact", "--degree", "8",
          "--samples-per-matvec", "60"],
-    ], ids=["eps-zero", "hutchinson-samples-per-matvec", "moments-exact-samples-per-matvec"])
+        ["estimate", "{graph}", "--degree", "8", "--auto-scale"],
+    ], ids=["eps-zero", "hutchinson-samples-per-matvec", "moments-exact-samples-per-matvec",
+            "graph-auto-scale"])
     def test_bad_accuracy_flag_is_3(self, argv, small_graph, tmp_path, capsys):
         gpath, _, _ = small_graph
         paths = {"graph": gpath}
