@@ -22,7 +22,6 @@ from .oracles import (
     exact_oracle,
     load_dense_text,
     load_matrix_market,
-    noisy_apply,
     noisy_oracle,
     scale_to_unit_norm,
 )

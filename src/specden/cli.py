@@ -5,8 +5,11 @@ All file I/O and run configuration lives here. Every estimation run writes a
 manifest next to its output; identical manifest inputs reproduce identical
 numerical outputs because every random choice flows from the recorded seed.
 
-Exit codes: 0 success, 2 input error (unreadable or malformed files),
-3 configuration error (invalid flag combinations or unmet preconditions).
+Exit codes: 0 success; 2 for a missing, unreadable or malformed input file
+or a command line argparse rejects; 3 for any flag or input property the CLI
+or the library refuses. Each is decided in one place: ``_read_input`` turns
+every failure to read a file into an InputError, and ``main`` sends an
+InputError to 2 and a ConfigError or a library ``ValueError`` to 3.
 """
 
 from __future__ import annotations
@@ -99,14 +102,24 @@ class RunManifest:
 # ---------------------------------------------------------------------------
 # input loading
 
+def _read_input(path_str: str, what: str, parse):
+    """``parse(path)`` of the named file. A missing file, or any exception
+    from ``parse`` (a directory, bytes that are not UTF-8, malformed
+    contents), is an InputError."""
+    path = Path(path_str)
+    if not path.exists():
+        raise InputError(f"{what} file {path} does not exist")
+    try:
+        return parse(path)
+    except Exception as exc:
+        raise InputError(f"failed to read {what} {path}: {exc}") from exc
+
+
 def _sniff_format(path: Path) -> str:
     if path.suffix == ".mtx":
         return "mm"
-    try:
-        with open(path) as fh:
-            first = fh.readline()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    with open(path) as fh:
+        first = fh.readline()
     if first.startswith("%%MatrixMarket"):
         return "mm"
     tokens = first.split()
@@ -119,48 +132,34 @@ def _sniff_format(path: Path) -> str:
     return "dense"
 
 
-def _load_input(path_str: str, fmt: str):
+def _load_input(path: Path, fmt: str):
     """Returns ('graph', GraphAccess) or ('matrix', SymmetricMatrix)."""
-    path = Path(path_str)
-    if not path.exists():
-        raise InputError(f"input file {path} does not exist")
     if fmt == "auto":
         fmt = _sniff_format(path)
-    try:
-        if fmt == "graph":
-            return "graph", load_graph(path)
-        if fmt == "mm":
-            return "matrix", load_matrix_market(path)
-        return "matrix", load_dense_text(path)
-    except Exception as exc:
-        raise InputError(f"failed to parse {path} as {fmt}: {exc}") from exc
+    if fmt == "graph":
+        return "graph", load_graph(path)
+    if fmt == "mm":
+        return "matrix", load_matrix_market(path)
+    return "matrix", load_dense_text(path)
 
 
-def _load_truth_spectrum(path_str: str) -> DiscreteSpectrum:
-    path = Path(path_str)
-    if not path.exists():
-        raise InputError(f"spectrum file {path} does not exist")
+def _load_truth_spectrum(path: Path) -> DiscreteSpectrum:
     text = path.read_text()
-    try:
-        if text.lstrip().startswith("{"):
-            return DiscreteSpectrum.from_json(text)
-        return DiscreteSpectrum.load_text(path)
-    except Exception as exc:
-        raise InputError(f"failed to parse spectrum {path}: {exc}") from exc
+    if text.lstrip().startswith("{"):
+        return DiscreteSpectrum.from_json(text)
+    return DiscreteSpectrum.load_text(path)
+
+
+def _load_density(path: Path) -> DensityEstimate:
+    return DensityEstimate.from_json(path.read_text())
 
 
 def _resolve_degree(args) -> int:
     if args.degree is not None:
-        try:
-            _check_degree(args.degree)
-        except ValueError as exc:
-            raise ConfigError(f"--degree: {exc}") from exc
+        _check_degree(args.degree)
         return args.degree
     if args.eps is not None:
-        try:
-            return degree_for_accuracy(args.eps)
-        except ValueError as exc:
-            raise ConfigError(f"--eps: {exc}") from exc
+        return degree_for_accuracy(args.eps)
     raise ConfigError("one of --eps or --degree is required")
 
 
@@ -200,17 +199,11 @@ def _compute_moments(args, kind: str, loaded) -> tuple[MomentVector, dict]:
         if args.method == "hutchinson":
             moments = hutchinson_moments(oracle, degree, args.ell, args.seed)
         else:
-            try:
-                moments = exact_moments(oracle, degree)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            moments = exact_moments(oracle, degree)
     else:  # graph-amv
         if kind != "graph":
             raise ConfigError("method graph-amv needs a graph input, not a matrix")
-        try:
-            oracle = sampled_graph_oracle(loaded, args.samples_per_matvec, seed=args.seed)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        oracle = sampled_graph_oracle(loaded, args.samples_per_matvec, seed=args.seed)
         moments = approx_hutchinson_moments(oracle, degree, args.ell, args.seed)
 
     info["oracle_calls"] = oracle.calls
@@ -239,7 +232,7 @@ def _write_estimation_manifest(args, kind: str, info: dict, product: str,
 
 def cmd_estimate(args) -> int:
     t_start = time.perf_counter()
-    kind, loaded = _load_input(args.input, args.format)
+    kind, loaded = _read_input(args.input, "input", lambda path: _load_input(path, args.format))
     moments, info = _compute_moments(args, kind, loaded)
     coeffs = jackson_coefficients(info["degree"])
     if args.method == "exact":
@@ -253,7 +246,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_moments(args) -> int:
     t_start = time.perf_counter()
-    kind, loaded = _load_input(args.input, args.format)
+    kind, loaded = _read_input(args.input, "input", lambda path: _load_input(path, args.format))
     moments, info = _compute_moments(args, kind, loaded)
     Path(args.output).write_text(moments.to_json() + "\n")
     _write_estimation_manifest(args, kind, info, "moments", t_start)
@@ -263,24 +256,11 @@ def cmd_moments(args) -> int:
 # ---------------------------------------------------------------------------
 # eval / discretize / graph-gen
 
-def _load_density(path_str: str) -> DensityEstimate:
-    path = Path(path_str)
-    if not path.exists():
-        raise InputError(f"density file {path} does not exist")
-    try:
-        return DensityEstimate.from_json(path.read_text())
-    except Exception as exc:
-        raise InputError(f"failed to parse density {path}: {exc}") from exc
-
-
 def cmd_eval(args) -> int:
-    q = _load_density(args.density)
-    truth = _load_truth_spectrum(args.truth)
-    try:
-        w1_continuous = w1_density_vs_spectrum(q, truth)
-        recovered = discretize_greedy(q, truth.n, args.disc_eps)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    q = _read_input(args.density, "density", _load_density)
+    truth = _read_input(args.truth, "spectrum", _load_truth_spectrum)
+    w1_continuous = w1_density_vs_spectrum(q, truth)
+    recovered = discretize_greedy(q, truth.n, args.disc_eps)
     w1_discretized = w1_discrete(recovered, truth)
     report = {
         "density": args.density,
@@ -304,16 +284,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_discretize(args) -> int:
-    q = _load_density(args.density)
+    q = _read_input(args.density, "density", _load_density)
     if args.method == "greedy" and args.eps is None:
         raise ConfigError("greedy discretization needs --eps")
-    try:
-        if args.method == "greedy":
-            spectrum = discretize_greedy(q, args.n, args.eps)
-        else:
-            spectrum = discretize_optimal(q, args.n)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if args.method == "greedy":
+        spectrum = discretize_greedy(q, args.n, args.eps)
+    else:
+        spectrum = discretize_optimal(q, args.n)
     out = Path(args.output)
     if out.suffix == ".json":
         out.write_text(spectrum.to_json() + "\n")
@@ -332,10 +309,7 @@ def cmd_graph_gen(args) -> int:
         if args.n is None:
             raise ConfigError(f"{args.kind} needs -n")
         size = {"n": args.n}
-    try:
-        graph, truth = generate_graph(args.kind, **size)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    graph, truth = generate_graph(args.kind, **size)
     save_graph(graph, args.output)
     print(f"wrote {args.output} (n={graph.n}, m={graph.edge_count})")
     if args.truth_output:
@@ -528,10 +502,11 @@ def _write_csv(path, columns: dict) -> None:
 def _add_estimation_flags(sub):
     sub.add_argument("--method", choices=("exact", "hutchinson", "graph-amv"),
                      default="hutchinson")
-    sub.add_argument("--eps", type=float, default=None,
-                     help="target Wasserstein accuracy (sets the degree)")
-    sub.add_argument("--degree", type=int, default=None,
-                     help="Chebyshev degree N (multiple of 4); overrides --eps")
+    accuracy = sub.add_mutually_exclusive_group()
+    accuracy.add_argument("--eps", type=float, default=None,
+                          help="target Wasserstein accuracy (sets the degree)")
+    accuracy.add_argument("--degree", type=int, default=None,
+                          help="Chebyshev degree N (multiple of 4)")
     sub.add_argument("--ell", type=int, default=2,
                      help="Hutchinson repetitions (probe vectors)")
     sub.add_argument("--seed", type=int, default=0)
@@ -610,7 +585,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:  # a library function refuses an argument
         print(f"config error: {exc}", file=sys.stderr)
         return 3
 

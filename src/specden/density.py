@@ -136,16 +136,17 @@ def check_density(q: DensityEstimate) -> None:
         raise AssertionError(f"density dips to {worst:.3g} on the interior grid")
 
 
-def export_plot_data(q: DensityEstimate,
-                     grid_points: int = 512) -> tuple[np.ndarray, np.ndarray]:
-    """(x, q(x)) on a Chebyshev-spaced grid scaled by 1 - 1e-4 inside (-1, 1).
+PLOT_POINTS = 512
+
+
+def export_plot_data(q: DensityEstimate) -> tuple[np.ndarray, np.ndarray]:
+    """(x, q(x)) at PLOT_POINTS Chebyshev-spaced points scaled by 1 - 1e-4
+    inside (-1, 1).
 
     Chebyshev spacing concentrates samples near the endpoints where the weight
     varies fastest; the 1e-4 margin keeps the printed values finite.
     """
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    theta = np.pi * (np.arange(grid_points) + 0.5) / grid_points
+    theta = np.pi * (np.arange(PLOT_POINTS) + 0.5) / PLOT_POINTS
     xs = np.sort(np.cos(theta) * (1.0 - 1e-4))
     return xs, q.evaluate(xs)
 

@@ -4,17 +4,15 @@ An oracle promises ``||z - A y|| <= error_bound * ||A|| * ||y||`` per call.
 Exact oracles have ``error_bound = 0``; the noise-injecting oracle realizes a
 worst-case-style oracle with an exactly controlled error radius, which is what
 the recurrence stability tests need. It seeds one generator when it is built
-and every call draws its error from that stream, in call-arrival order;
-:func:`noisy_apply` is the one-call form, seeded per call. Moment estimators
-are written once against :class:`MatvecOracle` and run unchanged on exact,
-noisy, and sampled graph oracles.
+and every call draws its error from that stream, in call-arrival order.
+Moment estimators are written once against :class:`MatvecOracle` and run
+unchanged on exact, noisy, and sampled graph oracles.
 
 ``scipy.sparse`` and ``scipy.io`` load on the first sparse build or ``.mtx`` read.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import threading
 from dataclasses import dataclass, field
@@ -137,76 +135,52 @@ def exact_oracle(matrix: SymmetricMatrix) -> MatvecOracle:
 NOISE_MODES = ("random-direction", "adversarial-sign")
 
 
-def _check_noise(eps_mv: float, mode: str) -> None:
+def noisy_oracle(matrix: SymmetricMatrix, eps_mv: float, mode: str, seed) -> MatvecOracle:
+    """Noise-injecting oracle: each call returns A y plus an error of norm
+    exactly ``eps_mv * ||y||``.
+
+    Assuming the declared ``||A|| <= 1`` this meets the oracle contract with
+    equality, which makes the error bound directly testable. The oracle seeds
+    one ``numpy.random.default_rng(seed)`` when it is built. A
+    ``random-direction`` call with a nonzero radius draws its Gaussian
+    direction from it, in call-arrival order and under a lock the oracle
+    holds; ``adversarial-sign`` takes ``sign(y)`` and draws nothing. Any
+    serial schedule therefore reproduces the same noise sequence. Concurrent
+    calls get valid errors of the exact radius, but which call draws which
+    direction depends on the order in which they take the lock. ``eps_mv``
+    and ``mode`` are checked once, here.
+
+    Norms are ``math.sqrt(v @ v)`` of a contiguous vector, which is what
+    ``np.linalg.norm`` computes, bit for bit, without its Python-level
+    dispatch (a strided BLAS dot rounds differently).
+    """
     if not 0.0 <= eps_mv < 1.0:
         raise ValueError(f"eps_mv must be in [0, 1), got {eps_mv}")
     if mode not in NOISE_MODES:
         raise ValueError(f"unknown noise mode {mode!r}; expected one of {NOISE_MODES}")
-
-
-def _add_noise(z: np.ndarray, y: np.ndarray, eps_mv: float, mode: str,
-               rng: np.random.Generator, lock) -> np.ndarray:
-    """Add to ``z``, in place, an error of norm exactly ``eps_mv * ||y||``.
-
-    ``random-direction`` draws a Gaussian direction from ``rng`` while holding
-    ``lock``; ``adversarial-sign`` takes ``sign(y)`` and draws nothing. Nothing
-    is drawn when the radius is 0. Norms are ``math.sqrt(v @ v)`` of a
-    contiguous vector, which is what ``np.linalg.norm`` computes, bit for bit,
-    without its Python-level dispatch (a strided BLAS dot rounds differently).
-    """
-    y = np.ascontiguousarray(y)
-    radius = eps_mv * math.sqrt(y @ y)
-    if radius == 0.0:
-        return z
-    if mode == "random-direction":
-        with lock:
-            direction = rng.standard_normal(y.shape[0])
-            norm = math.sqrt(direction @ direction)
-            while norm == 0.0:
-                direction = rng.standard_normal(y.shape[0])
-                norm = math.sqrt(direction @ direction)
-    else:
-        direction = np.sign(y)  # y != 0 here, so the norm is at least 1
-        norm = math.sqrt(direction @ direction)
-    direction *= radius / norm
-    z += direction
-    return z
-
-
-def noisy_apply(matrix: SymmetricMatrix, y, eps_mv: float, mode: str, seed) -> np.ndarray:
-    """A y plus an error of norm exactly ``eps_mv * ||y||``.
-
-    Assuming the declared ``||A|| <= 1`` this meets the oracle contract with
-    equality, which makes the error bound of the noisy oracle directly
-    testable. The error is drawn from ``numpy.random.default_rng(seed)``, so
-    the result is deterministic in the (y-independent) ``seed``.
-    """
-    _check_noise(eps_mv, mode)
-    y = np.asarray(y, dtype=float)
-    z = matrix.matvec(y)
-    if eps_mv == 0.0:
-        return z
-    return _add_noise(z, y, eps_mv, mode, np.random.default_rng(seed), contextlib.nullcontext())
-
-
-def noisy_oracle(matrix: SymmetricMatrix, eps_mv: float, mode: str, seed) -> MatvecOracle:
-    """Noise-injecting oracle whose calls draw from one seeded stream.
-
-    The oracle seeds one ``numpy.random.default_rng(seed)`` when it is built,
-    and each call with a nonzero radius draws its error direction from it, in
-    call-arrival order and under a lock the oracle holds. Any serial schedule
-    therefore reproduces the same noise sequence. Concurrent calls get valid
-    errors of the exact radius, but which call draws which direction depends
-    on the order in which they take the lock. ``eps_mv`` and ``mode`` are
-    checked once, here.
-    """
-    _check_noise(eps_mv, mode)
     rng = np.random.default_rng(seed)
     lock = threading.Lock()
 
     def apply_fn(y, _index):
         y = np.asarray(y, dtype=float)
-        return _add_noise(matrix.matvec(y), y, eps_mv, mode, rng, lock)
+        z = matrix.matvec(y)
+        y = np.ascontiguousarray(y)
+        radius = eps_mv * math.sqrt(y @ y)
+        if radius == 0.0:
+            return z
+        if mode == "random-direction":
+            with lock:
+                direction = rng.standard_normal(y.shape[0])
+                norm = math.sqrt(direction @ direction)
+                while norm == 0.0:
+                    direction = rng.standard_normal(y.shape[0])
+                    norm = math.sqrt(direction @ direction)
+        else:
+            direction = np.sign(y)  # y != 0 here, so the norm is at least 1
+            norm = math.sqrt(direction @ direction)
+        direction *= radius / norm
+        z += direction
+        return z
 
     return MatvecOracle(
         dimension=matrix.dimension,

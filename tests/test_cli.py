@@ -377,6 +377,43 @@ class TestExitCodes:
                   "--grid-points", "10000"])
         assert exc.value.code == 2
 
+    def test_eps_with_degree_is_a_usage_error(self, small_graph, tmp_path, capsys):
+        # the degree would win, and the manifest would record an eps the run
+        # did not use
+        gpath, _, _ = small_graph
+        out = tmp_path / "o.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", str(gpath), "--eps", "0.5", "--degree", "8",
+                  "--output", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, code", [
+        (["estimate", "{binary}", "--degree", "8", "--output", "{out}"], 2),
+        (["eval", "--density", "{density}", "--truth", "{dir}"], 2),
+        (["eval", "--density", "{density}", "--truth", "{binary}"], 2),
+        (["estimate", "{missing}", "--degree", "8", "--output", "{out}"], 2),
+        (["estimate", "{graph}", "--degree", "10", "--output", "{out}"], 3),
+    ], ids=["estimate-not-utf8", "eval-truth-directory", "eval-truth-not-utf8",
+            "missing-input", "bad-degree"])
+    def test_process_exit_code_without_traceback(self, argv, code, small_graph, tmp_path):
+        gpath, _, _ = small_graph
+        dpath = tmp_path / "d.json"
+        assert main(["estimate", str(gpath), "--method", "exact", "--degree", "8",
+                     "--output", str(dpath)]) == 0
+        binary = tmp_path / "binary.txt"
+        binary.write_bytes(b"\xff\xfe\x00\x81 not text\n")
+        (tmp_path / "dir").mkdir()
+        out = tmp_path / "o.json"
+        paths = {"binary": binary, "density": dpath, "dir": tmp_path / "dir",
+                 "missing": tmp_path / "nope.txt", "graph": gpath, "out": out}
+        done = _fresh_interpreter("-m", "specden", *[arg.format(**paths) for arg in argv])
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("input error:" if code == 2 else "config error:")
+        assert not out.exists()
+
     def test_hypercube_zero_bits_is_3(self, tmp_path):
         assert main(["graph-gen", "--kind", "hypercube", "--bits", "0",
                      "--output", str(tmp_path / "g.txt")]) == 3

@@ -15,6 +15,7 @@ from specden import (
 )
 from specden.chebyshev import NORM_0, ChebyshevSeries
 from specden.cli import _write_csv
+from specden.density import PLOT_POINTS
 from specden.moments import MomentVector
 
 from conftest import random_spectrum_matrix
@@ -144,7 +145,7 @@ class TestSerialization:
 class TestPlotData:
     def test_grid_stays_inside_margin(self):
         q = _delta_density(0.0, 16)
-        xs, ys = export_plot_data(q, grid_points=128)
+        xs, ys = export_plot_data(q)
         assert xs.min() >= -1.0 + 0.9e-4 and xs.max() <= 1.0 - 0.9e-4
         assert np.all(np.diff(xs) > 0)
         assert np.all(np.isfinite(ys))
@@ -152,10 +153,10 @@ class TestPlotData:
     def test_csv_export(self, tmp_path):
         q = _delta_density(0.0, 16)
         path = tmp_path / "density.csv"
-        _write_csv(path, dict(zip(("x", "q"), export_plot_data(q, grid_points=32))))
+        _write_csv(path, dict(zip(("x", "q"), export_plot_data(q))))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x,q"
-        assert len(lines) == 33
+        assert len(lines) == PLOT_POINTS + 1
 
 
 class TestValidation:

@@ -7,7 +7,6 @@ from specden import (
     exact_oracle,
     load_dense_text,
     load_matrix_market,
-    noisy_apply,
     noisy_oracle,
     scale_to_unit_norm,
 )
@@ -50,36 +49,38 @@ class TestExactApply:
 
 
 class TestNoisyApply:
+    # one call of a fresh noisy oracle: A y plus an error drawn from
+    # default_rng(seed)
     def setup_method(self):
         self.matrix, _ = random_spectrum_matrix(20, seed=5)
         self.y = np.random.default_rng(1).standard_normal(20)
 
     def test_zero_noise_is_exact(self):
         np.testing.assert_array_equal(
-            noisy_apply(self.matrix, self.y, 0.0, "random-direction", seed=0),
+            noisy_oracle(self.matrix, 0.0, "random-direction", seed=0).apply(self.y),
             self.matrix.matvec(self.y))
 
     @pytest.mark.parametrize("mode", ["random-direction", "adversarial-sign"])
     def test_error_radius_is_exact(self, mode):
         for eps in (1e-3, 0.1, 0.7):
-            z = noisy_apply(self.matrix, self.y, eps, mode, seed=2)
+            z = noisy_oracle(self.matrix, eps, mode, seed=2).apply(self.y)
             err = np.linalg.norm(z - self.matrix.matvec(self.y))
             assert err / np.linalg.norm(self.y) == pytest.approx(eps, abs=1e-12)
 
     def test_deterministic_in_seed(self):
-        a = noisy_apply(self.matrix, self.y, 0.3, "random-direction", seed=42)
-        b = noisy_apply(self.matrix, self.y, 0.3, "random-direction", seed=42)
+        a = noisy_oracle(self.matrix, 0.3, "random-direction", seed=42).apply(self.y)
+        b = noisy_oracle(self.matrix, 0.3, "random-direction", seed=42).apply(self.y)
         np.testing.assert_array_equal(a, b)
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
-            noisy_apply(self.matrix, self.y, 1.0, "random-direction", seed=0)
+            noisy_oracle(self.matrix, 1.0, "random-direction", seed=0).apply(self.y)
         with pytest.raises(ValueError):
-            noisy_apply(self.matrix, self.y, -0.1, "random-direction", seed=0)
+            noisy_oracle(self.matrix, -0.1, "random-direction", seed=0).apply(self.y)
 
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
-            noisy_apply(self.matrix, self.y, 0.1, "gaussian", seed=0)
+            noisy_oracle(self.matrix, 0.1, "gaussian", seed=0).apply(self.y)
 
     def test_oracle_sequence_reproducible(self):
         o1 = noisy_oracle(self.matrix, 0.2, "random-direction", seed=9)
@@ -93,8 +94,8 @@ class TestNoisyApply:
 
     @pytest.mark.parametrize("mode", ["random-direction", "adversarial-sign"])
     def test_equals_product_plus_drawn_error(self, mode):
-        # the reference: np.linalg.norm and a fresh default_rng(seed), as
-        # noisy_apply has always drawn; strided columns as well as a
+        # the reference: np.linalg.norm and a fresh default_rng(seed), from
+        # which a new oracle's first call draws; strided columns as well as a
         # contiguous vector, since a strided BLAS dot can round differently
         block = np.random.default_rng(3).standard_normal((20, 8))
         for y in (self.y, *block.T):
@@ -104,7 +105,7 @@ class TestNoisyApply:
                 radius = 0.3 * np.linalg.norm(y)
                 expected = self.matrix.matvec(y) + (radius / np.linalg.norm(direction)) * direction
                 np.testing.assert_array_equal(
-                    noisy_apply(self.matrix, y, 0.3, mode, seed=seed), expected)
+                    noisy_oracle(self.matrix, 0.3, mode, seed=seed).apply(y), expected)
 
 
 class TestNoisyOracle:
